@@ -1,16 +1,16 @@
-"""Hot-path regression bench: vectorized PE kernels and the SoA sweep.
+"""Hot-path regression bench: the exact-partner probe and the SoA sweep.
 
-The PE compute units used to be pure-Python ``O(entries × partners)`` scan
-loops; the NumPy kernels in ``repro.core.pe`` / ``repro.core.bitset``
-replace them with sparse intersection-counting array operations, and the
+The PE compute units choose each entry's partner with one dictionary
+probe (``repro.core.pe``) instead of scanning every partner, and the
 level-synchronous SoA sweep (``repro.core.soa``) replaces the per-PE
-object walk entirely.  This bench runs one 256-query, 64-rank batch
-through each path, proves the outputs and all statistics are
-byte-identical, and asserts the tracked speedup floors — so the speedups
-are tracked like any other reproduced figure and a regression (someone
-re-introducing a Python inner loop) fails CI.
+object walk with the same probe in its pool domain.  This bench runs one
+256-query, 64-rank batch through the full scan (forced by disabling the
+probe tables), the probe, and the SoA sweep, proves the outputs and all
+statistics are byte-identical, and asserts the tracked speedup floors —
+so the speedups are tracked like any other reproduced figure and a
+regression (someone re-introducing an entries × partners scan) fails CI.
 
-The scalar pass is long (~1 min); the faster paths are timed repeatedly
+The full-scan pass is long (~1 min); the faster paths are timed repeatedly
 and the best run is used, with competing configurations *interleaved* so
 drifting host load biases every contestant equally rather than penalising
 whichever ran last.  Headline numbers append to the repo-root
@@ -22,6 +22,7 @@ import time
 
 import numpy as np
 
+import repro.core.pe as pe_module
 from _common import append_trajectory, run_once, write_report
 from repro.analysis import Table
 from repro.core import FafnirConfig, FafnirEngine
@@ -33,11 +34,12 @@ RANKS = 64
 QUERY_LEN = 64
 UNIVERSE = 8192
 ELEMENTS = 128
-# ≥5× is the tracked bar on a quiet host; shared CI runners may override
-# the floor (FAFNIR_HOTPATH_MIN_SPEEDUP) — any re-introduced Python inner
-# loop lands near 1× and still fails.
+# The probe's floor over the forced full scan.  ≥5× is the tracked bar on a
+# quiet host; shared CI runners may override the floor
+# (FAFNIR_HOTPATH_MIN_SPEEDUP) — a re-introduced entries × partners scan
+# lands near 1× and still fails.
 REQUIRED_SPEEDUP = float(os.environ.get("FAFNIR_HOTPATH_MIN_SPEEDUP", "5.0"))
-# The SoA sweep's floor over the object vector path.  Measured ~1.3× on
+# The SoA sweep's floor over the object path.  Measured ~1.3× on
 # the reference container (the sweep's wins are concentrated in the tree
 # walk; memory planning and host-side work are shared) — the floor sits
 # below that so noise cannot fail it while a real regression (SoA falling
@@ -45,7 +47,7 @@ REQUIRED_SPEEDUP = float(os.environ.get("FAFNIR_HOTPATH_MIN_SPEEDUP", "5.0"))
 SOA_REQUIRED_SPEEDUP = float(os.environ.get("FAFNIR_SOA_MIN_SPEEDUP", "1.1"))
 # Acceptance bound for in-memory tracing through the packed columnar sink.
 TRACING_MAX_OVERHEAD = float(os.environ.get("FAFNIR_TRACING_MAX_OVERHEAD", "1.15"))
-VECTOR_REPEATS = 2
+PROBE_REPEATS = 2
 SOA_REPEATS = 3
 
 
@@ -64,7 +66,7 @@ def _workload():
         rng.choice(UNIVERSE, size=QUERY_LEN, replace=False).tolist()
         for _ in range(QUERIES)
     ]
-    # Pre-filled so vector generation is not timed inside either kernel run.
+    # Pre-filled so vector generation is not timed inside any engine run.
     vectors = {}
     for query in queries:
         for index in query:
@@ -75,11 +77,10 @@ def _workload():
     return config, memory, queries, vectors
 
 
-def _run(kernel, config, memory, queries, vectors, tracer=None, engine="object"):
+def _run(config, memory, queries, vectors, tracer=None, engine="object"):
     instance = FafnirEngine(
         config=config,
         memory_config=memory,
-        kernel=kernel,
         tracer=tracer,
         engine=engine,
     )
@@ -88,44 +89,52 @@ def _run(kernel, config, memory, queries, vectors, tracer=None, engine="object")
     return time.perf_counter() - start, result
 
 
-def test_engine_hotpath_speedup(benchmark):
+def test_engine_hotpath_speedup(benchmark, monkeypatch):
+    """The exact-partner probe vs the full scan it replaces.
+
+    The scan is forced by making every probe table unavailable, so both
+    runs execute the same object walk and differ only in how each entry
+    finds its partner.
+    """
     config, memory, queries, vectors = _workload()
 
-    scalar_s, scalar = _run("scalar", config, memory, queries, vectors)
+    with monkeypatch.context() as patched:
+        patched.setattr(pe_module, "_probe_table", lambda partners, universe: None)
+        scan_s, scan = _run(config, memory, queries, vectors)
 
-    def vector_run():
-        return _run("vector", config, memory, queries, vectors)
+    def probe_run():
+        return _run(config, memory, queries, vectors)
 
-    vector_s, vector = run_once(benchmark, vector_run)
-    for _ in range(VECTOR_REPEATS - 1):
-        repeat_s, _unused = vector_run()
-        vector_s = min(vector_s, repeat_s)
-    speedup = scalar_s / vector_s
+    probe_s, probe = run_once(benchmark, probe_run)
+    for _ in range(PROBE_REPEATS - 1):
+        repeat_s, _unused = probe_run()
+        probe_s = min(probe_s, repeat_s)
+    speedup = scan_s / probe_s
 
-    table = Table(["kernel", "wall_s", "speedup"])
-    table.add_row(["scalar", f"{scalar_s:.3f}", "1.00×"])
-    table.add_row(["vector", f"{vector_s:.3f}", f"{speedup:.2f}×"])
+    table = Table(["partner search", "wall_s", "speedup"])
+    table.add_row(["full scan", f"{scan_s:.3f}", "1.00×"])
+    table.add_row(["probe", f"{probe_s:.3f}", f"{speedup:.2f}×"])
     write_report(
         "engine_hotpath",
         table,
         record={
             "config": _config_record(config),
-            "scalar_wall_s": round(scalar_s, 4),
-            "vector_wall_s": round(vector_s, 4),
+            "scan_wall_s": round(scan_s, 4),
+            "probe_wall_s": round(probe_s, 4),
             "speedup": round(speedup, 3),
         },
     )
 
     # Identical physics: same vectors (bit for bit), same timing, same work.
-    assert len(scalar.vectors) == len(vector.vectors) == QUERIES
-    for a, b in zip(scalar.vectors, vector.vectors):
+    assert len(scan.vectors) == len(probe.vectors) == QUERIES
+    for a, b in zip(scan.vectors, probe.vectors):
         assert a.tobytes() == b.tobytes()
-    assert scalar.stats.latency_pe_cycles == vector.stats.latency_pe_cycles
-    assert scalar.stats.per_pe_work == vector.stats.per_pe_work
+    assert scan.stats.latency_pe_cycles == probe.stats.latency_pe_cycles
+    assert scan.stats.per_pe_work == probe.stats.per_pe_work
 
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"vector kernel only {speedup:.2f}× faster than scalar "
-        f"({scalar_s:.3f}s vs {vector_s:.3f}s); required {REQUIRED_SPEEDUP}×"
+        f"probe only {speedup:.2f}× faster than the full scan "
+        f"({scan_s:.3f}s vs {probe_s:.3f}s); required {REQUIRED_SPEEDUP}×"
     )
 
 
@@ -140,7 +149,7 @@ def _config_record(config):
 
 
 def test_soa_engine_speedup(benchmark):
-    """The level-synchronous SoA sweep vs the object-walk vector path.
+    """The level-synchronous SoA sweep vs the object walk.
 
     Both engines run the same batch; outputs, statuses, and every per-PE
     work counter must match bit for bit (the differential harness pins
@@ -158,10 +167,10 @@ def test_soa_engine_speedup(benchmark):
     def paired_run():
         nonlocal object_s, soa_s, object_res, soa_res
         for _ in range(SOA_REPEATS):
-            seconds, object_res = _run("vector", config, memory, queries, vectors)
+            seconds, object_res = _run(config, memory, queries, vectors)
             object_s = seconds if object_s is None else min(object_s, seconds)
             seconds, soa_res = _run(
-                "vector", config, memory, queries, vectors, engine="soa"
+                config, memory, queries, vectors, engine="soa"
             )
             soa_s = seconds if soa_s is None else min(soa_s, seconds)
 
@@ -169,7 +178,7 @@ def test_soa_engine_speedup(benchmark):
     speedup = object_s / soa_s
 
     table = Table(["engine", "wall_s", "speedup"])
-    table.add_row(["object (vector)", f"{object_s:.3f}", "1.00×"])
+    table.add_row(["object", f"{object_s:.3f}", "1.00×"])
     table.add_row(["soa", f"{soa_s:.3f}", f"{speedup:.2f}×"])
     record = {
         "config": _config_record(config),
@@ -188,7 +197,7 @@ def test_soa_engine_speedup(benchmark):
     assert object_res.query_statuses == soa_res.query_statuses
 
     assert speedup >= SOA_REQUIRED_SPEEDUP, (
-        f"SoA sweep only {speedup:.2f}× over the object vector path "
+        f"SoA sweep only {speedup:.2f}× over the object path "
         f"({object_s:.3f}s vs {soa_s:.3f}s); required {SOA_REQUIRED_SPEEDUP}×"
     )
 
@@ -231,9 +240,7 @@ def test_tracing_disabled_no_overhead(benchmark):
     last_tracer = {}
 
     def timed(tracer=None):
-        return _run(
-            "vector", config, memory, queries, vectors, tracer, engine="soa"
-        )
+        return _run(config, memory, queries, vectors, tracer, engine="soa")
 
     def bracketed_rounds():
         # Untimed warm-up: the first batch a process runs pays page

@@ -26,9 +26,6 @@ from repro.core.operators import (
     get_operator,
 )
 from repro.core.pe import (
-    KERNEL_SCALAR,
-    KERNEL_VECTOR,
-    KERNELS,
     PEResult,
     PEWork,
     ProcessingElement,
@@ -52,9 +49,6 @@ __all__ = [
     "Header",
     "InteractiveEngine",
     "InteractiveResult",
-    "KERNELS",
-    "KERNEL_SCALAR",
-    "KERNEL_VECTOR",
     "LevelUtilization",
     "LookupResult",
     "LookupStats",

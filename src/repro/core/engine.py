@@ -30,7 +30,7 @@ from repro.core.batch import BatchPlan, plan_batch
 from repro.core.config import FafnirConfig
 from repro.core.header import Header, Message
 from repro.core.operators import ReductionOperator, SUM, get_operator
-from repro.core.pe import KERNEL_VECTOR, KERNELS, PEWork, ProcessingElement
+from repro.core.pe import PEWork, ProcessingElement
 from repro.core.soa import run_tree_soa
 from repro.core.tree import FafnirTree, TreePE
 from repro.faults.plan import (
@@ -241,7 +241,6 @@ class FafnirEngine:
         operator: ReductionOperator = SUM,
         memory_config: Optional[MemoryConfig] = None,
         check_values: bool = False,
-        kernel: str = KERNEL_VECTOR,
         tracer: Optional[Tracer] = None,
         rank_order: Optional[Sequence[int]] = None,
         faults: Optional[FaultPlan] = None,
@@ -257,7 +256,6 @@ class FafnirEngine:
             operator: reduction operator (name or instance).
             memory_config: DDR4/HBM substrate; must match ``total_ranks``.
             check_values: enable the merge-unit value-consistency assertion.
-            kernel: PE compute-unit implementation (``"scalar"``/``"vector"``).
             tracer: event tracer threaded through the memory system, every
                 PE, and the engine's own host-side hooks; ``None`` installs
                 the zero-overhead :data:`~repro.obs.tracer.NULL_TRACER`.
@@ -273,7 +271,13 @@ class FafnirEngine:
                 objects; ``"soa"`` runs the level-synchronous
                 structure-of-arrays sweep (:mod:`repro.core.soa`) — the same
                 results, work counters, and trace events, byte for byte,
-                with no per-message objects between fold and root.
+                with no per-message objects between fold and root.  Both
+                sweeps find each entry's partner with one exact probe:
+                the partner whose indices equal the entry's indices homed
+                beneath the partner subtree, which the completion
+                invariant guarantees is the widest one it contains.  A
+                miss falls back to the full scan (see
+                :mod:`repro.core.pe`), so results never depend on it.
             cache: opt-in rank-level hot-index tier
                 (:class:`~repro.tiering.cache.HotTierConfig`); ``None``
                 (the default) keeps the memory path byte-identical to an
@@ -286,8 +290,6 @@ class FafnirEngine:
                 :class:`~repro.tiering.placement.PermutedRankPlacement`);
                 ``None`` uses the paper's row-major placement.
         """
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown PE kernel {kernel!r}; choose from {KERNELS}")
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; choose from {ENGINES}"
@@ -324,7 +326,6 @@ class FafnirEngine:
         )
         self.tree = FafnirTree(self.config, rank_order=rank_order)
         self._check_values = check_values
-        self._kernel = kernel
         self._engine = engine
         self._last_memory_stats = AccessStats()
         self._lost_read_indices: Set[int] = set()
@@ -495,6 +496,40 @@ class FafnirEngine:
                 args=(side, depth),
             )
 
+    @staticmethod
+    def _pe_inputs(
+        pe: ProcessingElement,
+        node: TreePE,
+        leaf_inputs: Dict[int, List[List[Message]]],
+        outputs: Dict[int, List[Message]],
+        universes: Dict[int, FrozenSet[int]],
+        fold_work: PEWork,
+    ) -> Tuple[List[Message], List[Message], FrozenSet[int], FrozenSet[int]]:
+        """One PE's two input streams and the universe beneath each.
+
+        A leaf's inputs are its folded FIFOs, and a FIFO's universe is its own
+        messages' indices.  A parent consumes its children's outputs and
+        universes, popping them so that each level is freed once read.
+        """
+        if node.is_leaf:
+            # Items from one rank stream through one FIFO and may self-combine
+            # there (general workloads; a no-op for the paper's
+            # one-vector-per-rank queries).
+            raw_a, raw_b = leaf_inputs[node.pe_id]
+            return (
+                pe.fold_stream(raw_a, fold_work),
+                pe.fold_stream(raw_b, fold_work),
+                frozenset().union(*[m.indices for m in raw_a]),
+                frozenset().union(*[m.indices for m in raw_b]),
+            )
+        left, right = node.children  # type: ignore[misc]
+        return (
+            outputs.pop(left),
+            outputs.pop(right),
+            universes.pop(left),
+            universes.pop(right),
+        )
+
     def _run_tree(
         self, leaf_inputs: Dict[int, List[List[Message]]]
     ) -> tuple:
@@ -506,10 +541,10 @@ class FafnirEngine:
                 self.operator,
                 self.tracer,
                 self._check_values,
-                self._kernel,
                 leaf_inputs,
             )
         outputs: Dict[int, List[Message]] = {}
+        universes: Dict[int, FrozenSet[int]] = {}
         per_pe_work: Dict[int, PEWork] = {}
         for pe_id in self.tree.bottom_up_ids():
             node = self.tree.pe(pe_id)
@@ -518,26 +553,17 @@ class FafnirEngine:
                 self.operator,
                 name=f"PE{pe_id}",
                 check_values=self._check_values,
-                kernel=self._kernel,
                 tracer=self.tracer,
                 pe_id=pe_id,
                 level=node.level,
             )
-            if node.is_leaf:
-                # Items from one rank stream through one FIFO and may
-                # self-combine there (general workloads; a no-op for the
-                # paper's one-vector-per-rank queries).
-                fold_work = PEWork()
-                raw_a, raw_b = leaf_inputs[pe_id]
-                input_a = pe.fold_stream(raw_a, fold_work)
-                input_b = pe.fold_stream(raw_b, fold_work)
-            else:
-                fold_work = PEWork()
-                left, right = node.children  # type: ignore[misc]
-                input_a = outputs.get(left, [])
-                input_b = outputs.get(right, [])
-            result = pe.process(input_a, input_b)
+            fold_work = PEWork()
+            input_a, input_b, universe_a, universe_b = self._pe_inputs(
+                pe, node, leaf_inputs, outputs, universes, fold_work
+            )
+            result = pe.process(input_a, input_b, universe_a, universe_b)
             outputs[pe_id] = result.outputs
+            universes[pe_id] = universe_a | universe_b
             per_pe_work[pe_id] = result.work.merged_with(fold_work)
         return outputs[self.tree.root_id], per_pe_work
 

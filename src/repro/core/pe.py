@@ -22,46 +22,89 @@ Timing is annotated per message: an output is ready one pipeline stage after
 the later of its parents, and the PE's finite compute units impose a simple
 one-output-per-unit-per-cycle issue limit on top.
 
-Two interchangeable kernel implementations back the compute units:
-
-* ``"scalar"`` — the original pure-Python ``O(entries × partners)`` scan,
-  kept as the executable specification;
-* ``"vector"`` (default) — NumPy kernels (sparse intersection counting for
-  the scan, membership gathers via :mod:`repro.core.bitset` for the fold)
-  that evaluate every entry-vs-partner subset test of one invocation in a
-  few array operations and combine all matched values in one batched
-  ``operator.combine`` call.
-
-Both kernels produce byte-identical outputs, headers, ready cycles, and
-:class:`PEWork` counters; the vector path simply gets there without the
-Python inner loops (see ``benchmarks/bench_engine_hotpath.py`` for the
-tracked speedup).
+**Choosing the partner.**  The compute units reduce an entry with the
+*widest* partner whose indices it contains.  Every subtree emits, per
+query, one message covering exactly that query's indices beneath it (the
+completion invariant), so with ``U`` the set of indices homed beneath the
+partner subtree that widest partner is the one whose ``indices`` equal
+``entry & U``.  :meth:`ProcessingElement.process` finds it with one
+dictionary probe.  The probe is exact, not a heuristic: any contained
+partner is a subset of ``entry & U``, and partner index sets are unique
+after the merge unit and ``_coalesce``.  An empty ``entry & U`` means no
+partner can be contained, since every header names at least one index.
+When the probe misses on a non-empty key, when a partner stream repeats
+an index set, or when no universe is supplied, the entry falls back to
+the full scan (:func:`_widest_contained`).  That scan is the reference
+rule, and the probe picks the same partner, charges the same
+``compares`` and emits the same events.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.bitset import IndexUniverse
 from repro.core.config import FafnirConfig
 from repro.core.header import Header, Message, entry_sort_key, sorted_tuple
 from repro.core.operators import ReductionOperator
 from repro.obs.events import PE_FORWARD, PE_MERGE, PE_REDUCE
 from repro.obs.tracer import NULL_TRACER, Tracer
 
-KERNEL_SCALAR = "scalar"
-KERNEL_VECTOR = "vector"
-KERNELS = (KERNEL_SCALAR, KERNEL_VECTOR)
 
-# Below this many entry-vs-partner pairs the NumPy set-up cost exceeds the
-# loop it replaces; both kernels are exact, so the cutover is purely a
-# performance knob.
-_VECTOR_SCAN_CUTOVER = 64
-_VECTOR_FOLD_CUTOVER = 8
+def _widest_contained(
+    entry: FrozenSet[int], candidates: Sequence[Message]
+) -> Optional[Message]:
+    """The full scan: the widest candidate whose indices ⊆ ``entry``.
+
+    Strictly wider wins, so the earliest candidate is kept on ties.  This
+    is the reference matching rule; the probe must agree with it.
+    """
+    best = None
+    for candidate in candidates:
+        if candidate.indices <= entry and (
+            best is None or len(candidate.indices) > len(best.indices)
+        ):
+            best = candidate
+    return best
+
+
+def _probe_table(
+    partners: Sequence[Message], universe: Optional[FrozenSet[int]]
+) -> Optional[Dict[FrozenSet[int], Message]]:
+    """Partners keyed by index set, or ``None`` when the probe is unsafe.
+
+    ``None`` (every entry takes the full scan) when no universe is known,
+    when there is no partner to find, or when the partner stream repeats
+    an index set.
+    """
+    if universe is None or not partners:
+        return None
+    table = {partner.indices: partner for partner in partners}
+    return table if len(table) == len(partners) else None
+
+
+def _choose_partner(
+    entry: FrozenSet[int],
+    partners: Sequence[Message],
+    table: Optional[Dict[FrozenSet[int], Message]],
+    universe: Optional[FrozenSet[int]],
+) -> Optional[Message]:
+    """The partner a non-empty entry reduces with (``None``: forward).
+
+    One probe, ``entry & universe``, into ``table``.  An empty key means
+    no partner can be contained; a miss on a non-empty key, or no table,
+    takes the full scan.
+    """
+    if table is None or universe is None:
+        return _widest_contained(entry, partners)
+    key = entry & universe
+    best = table.get(key)
+    if best is None and key:
+        return _widest_contained(entry, partners)
+    return best
 
 
 @dataclass
@@ -74,9 +117,10 @@ class PEWork:
     ``pe_forward`` / ``pe_merge`` :class:`~repro.obs.TraceEvent`, so
     ``repro.obs.per_level_counts(events)`` equals the per-level sums
     produced by :func:`repro.core.stats.tree_utilization` over
-    ``LookupStats.per_pe_work``.  The scalar and vector kernels increment
-    (and therefore emit) at the same semantic points, which is what makes
-    their event streams comparable with ``==``.
+    ``LookupStats.per_pe_work``.  The object walk and the SoA sweep
+    (:mod:`repro.core.soa`) increment (and therefore emit) at the same
+    semantic points, which is what makes their event streams comparable
+    with ``==``.
     """
 
     compares: int = 0
@@ -139,22 +183,17 @@ class ProcessingElement:
         operator: ReductionOperator,
         name: str = "PE",
         check_values: bool = False,
-        kernel: str = KERNEL_VECTOR,
         tracer: Tracer = NULL_TRACER,
         pe_id: Optional[int] = None,
         level: Optional[int] = None,
     ) -> None:
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown PE kernel {kernel!r}; choose from {KERNELS}")
         self.config = config
         self.operator = operator
         self.name = name
         self.check_values = check_values
-        self.kernel = kernel
         # Tracing: events are emitted exactly where the PEWork counters
-        # increment, in both kernels, so scalar and vector runs produce
-        # ==-equal event streams (asserted by the differential tests).
-        # Every emission is guarded by ``tracer.enabled`` — one attribute
+        # increment, so the object walk and the SoA sweep produce ==-equal
+        # event streams (asserted by the differential tests).  Every emission is guarded by ``tracer.enabled`` — one attribute
         # read when tracing is off.
         self.tracer = tracer
         self.pe_id = pe_id
@@ -184,63 +223,36 @@ class ProcessingElement:
         )
 
     # ------------------------------------------------------------------
-    # Compute units — kernel dispatch
+    # Compute units
     # ------------------------------------------------------------------
     def _scan_side(
         self,
         own: Sequence[Message],
         partners: Sequence[Message],
+        universe: Optional[FrozenSet[int]],
         work: PEWork,
         raw: List[_RawOutput],
     ) -> None:
-        if self.kernel == KERNEL_VECTOR:
-            pairs = sum(len(m.entries) for m in own) * max(1, len(partners))
-            if pairs >= _VECTOR_SCAN_CUTOVER:
-                self._scan_side_vector(own, partners, work, raw)
-                return
-        self._scan_side_scalar(own, partners, work, raw)
+        """Reduce or forward every entry of ``own`` against ``partners``.
 
-    def _scan_side_scalar(
-        self,
-        own: Sequence[Message],
-        partners: Sequence[Message],
-        work: PEWork,
-        raw: List[_RawOutput],
-    ) -> None:
+        ``universe`` is every index homed beneath the partner subtree.  An
+        entry's partner is then found with one probe, ``entry & universe``,
+        into the partners keyed by index set (see the module docstring);
+        without a universe, or on a probe miss, the entry takes the full
+        scan.  Either way one compare per partner is charged, as the
+        compute units test the entry against every buffered partner.
+        """
+        if not own:
+            return
         latencies = self.config.latencies
         tracer = self.tracer
+        table = _probe_table(partners, universe)
         for message in own:
             for entry in message.entries:
-                if not entry:
-                    # Finished answer: travels up untouched.
-                    work.forwards += 1
-                    ready = message.ready_cycle + latencies.forward_path
-                    if tracer.enabled:
-                        self._emit_op(PE_FORWARD, ready, latencies.forward_path)
-                    raw.append(
-                        _RawOutput(
-                            indices=message.indices,
-                            entry=entry,
-                            value=message.value,
-                            ready_cycle=ready,
-                            hops=message.hops + 1,
-                            was_reduce=False,
-                            source_header=message.header,
-                        )
-                    )
-                    continue
-                # Reduce with the *maximal* matching partner.  The subtree-
-                # completion invariant guarantees the other input holds one
-                # message covering exactly this query's indices beneath that
-                # subtree; reducing with it (rather than every smaller
-                # partial) is what keeps the PE's output count within the
-                # paper's min(nm+n+m, B) bound.
                 best = None
-                for partner in partners:
-                    work.compares += 1
-                    if partner.indices <= entry:
-                        if best is None or len(partner.indices) > len(best.indices):
-                            best = partner
+                if entry:
+                    work.compares += len(partners)
+                    best = _choose_partner(entry, partners, table, universe)
                 if best is not None:
                     work.reduces += 1
                     ready = (
@@ -262,6 +274,7 @@ class ProcessingElement:
                         )
                     )
                 else:
+                    # No partner, or a finished answer travelling up.
                     work.forwards += 1
                     ready = message.ready_cycle + latencies.forward_path
                     if tracer.enabled:
@@ -277,184 +290,6 @@ class ProcessingElement:
                             source_header=message.header,
                         )
                     )
-
-    def _scan_side_vector(
-        self,
-        own: Sequence[Message],
-        partners: Sequence[Message],
-        work: PEWork,
-        raw: List[_RawOutput],
-    ) -> None:
-        """Intersection-counting kernel equivalent of :meth:`_scan_side_scalar`.
-
-        One row per (message, entry) pair, in scalar scan order.  The subset
-        tests ``partner ⊆ entry`` are evaluated by accumulating, index by
-        index, how many of each partner's members every distinct entry
-        contains; a partner is contained exactly when its count reaches its
-        size.  All matched values are combined in one batched
-        ``operator.combine`` call; the surviving Python loop only
-        materialises the raw-output records.
-        """
-        latencies = self.config.latencies
-        msg_of: List[int] = []
-        entries: List[FrozenSet[int]] = []
-        for position, message in enumerate(own):
-            for entry in message.entries:
-                msg_of.append(position)
-                entries.append(entry)
-        rows = len(entries)
-        if rows == 0:
-            return
-
-        num_partners = len(partners)
-        best_of = np.full(rows, -1, dtype=np.int64)
-        # Identical entries choose identical partners, so the kernel only
-        # ever sees each distinct non-empty entry once.
-        slot_of: Dict[FrozenSet[int], int] = {}
-        row_slot = np.full(rows, -1, dtype=np.int64)
-        for row, entry in enumerate(entries):
-            if entry:
-                slot = slot_of.setdefault(entry, len(slot_of))
-                row_slot[row] = slot
-        if slot_of and num_partners:
-            partner_indices = [p.indices for p in partners]
-            partner_sizes = np.fromiter(
-                (len(s) for s in partner_indices), np.int16, num_partners
-            )
-            # Sparse intersection counting.  Almost every (entry, partner)
-            # pair shares no index at all, so instead of testing each pair
-            # directly the kernel accumulates, index by index, how many of
-            # partner j's members entry i contains; containment is then
-            # ``count == |partner|``.  Work is Σ_u |entries∋u|·|partners∋u|
-            # — proportional to the actual index overlap, not to
-            # rows × partners × width.
-            max_entry = max(len(entry) for entry in slot_of)
-            cols_by_u: Dict[int, List[int]] = {}
-            for j, index_set in enumerate(partner_indices):
-                # A partner wider than the widest entry can never be
-                # contained in one — keep it out of the accumulation (near
-                # the root this drops partners whose folded index sets hold
-                # thousands of members).
-                if len(index_set) <= max_entry:
-                    for u in index_set:
-                        cols_by_u.setdefault(u, []).append(j)
-            rows_by_u: Dict[int, List[int]] = {}
-            for slot, entry in enumerate(slot_of):
-                for u in entry:
-                    if u in cols_by_u:
-                        rows_by_u.setdefault(u, []).append(slot)
-            count_type = np.uint8 if max_entry < 255 else np.int32
-            count = np.zeros((len(slot_of), num_partners), dtype=count_type)
-            for u, slots in rows_by_u.items():
-                count[np.ix_(slots, cols_by_u[u])] += 1
-            # Ineligible partners keep count 0 but have size > max_entry, so
-            # clipping their compare target to max_entry + 1 (which a count
-            # can never reach) keeps them uncontained without a mask.
-            targets = np.minimum(partner_sizes, max_entry + 1).astype(
-                count_type
-            )
-            contained = count == targets[None, :]
-            # Maximal match, first-partner tie-break: every header names at
-            # least one index, so sizes are ≥ 1 and ``contained * sizes`` is
-            # positive exactly for contained partners; argmax then
-            # reproduces the scalar loop's "strictly greater wins, earlier
-            # partner kept on ties" and an all-zero row means no match.
-            score = contained * partner_sizes[None, :]
-            choice = score.argmax(axis=1)
-            matched = score[np.arange(len(slot_of)), choice] > 0
-            slot_best = np.where(matched, choice, -1)
-            live = row_slot >= 0
-            best_of[live] = slot_best[row_slot[live]]
-
-        # The scalar loop charges one compare per partner for every
-        # non-empty entry, match or not.
-        work.compares += num_partners * int((row_slot >= 0).sum())
-
-        msg_index = np.asarray(msg_of, dtype=np.int64)
-        reduce_rows = np.nonzero(best_of >= 0)[0]
-        if reduce_rows.size:
-            own_ready = np.fromiter(
-                (m.ready_cycle for m in own), np.int64, len(own)
-            )
-            own_hops = np.fromiter((m.hops for m in own), np.int64, len(own))
-            partner_ready = np.fromiter(
-                (p.ready_cycle for p in partners), np.int64, num_partners
-            )
-            partner_hops = np.fromiter(
-                (p.hops for p in partners), np.int64, num_partners
-            )
-            chosen = best_of[reduce_rows]
-            own_values = np.stack([m.value for m in own])
-            partner_values = np.stack([p.value for p in partners])
-            combined = self.operator.combine(
-                own_values[msg_index[reduce_rows]], partner_values[chosen]
-            )
-            reduce_ready = (
-                np.maximum(own_ready[msg_index[reduce_rows]], partner_ready[chosen])
-                + latencies.reduce_path
-            ).tolist()
-            reduce_hops = (
-                np.maximum(own_hops[msg_index[reduce_rows]], partner_hops[chosen]) + 1
-            ).tolist()
-
-        best_list = best_of.tolist()
-        own_indices = [m.indices for m in own]
-        partner_list = list(partners)
-        forward_path = latencies.forward_path
-        tracer = self.tracer
-        # Rows of one message matched to one partner share the same union;
-        # caching it also reuses the frozenset object, so the merge unit's
-        # group dict hashes each (large, near-root) union once.
-        union_cache: Dict[Tuple[int, int], FrozenSet[int]] = {}
-        slot = 0
-        for row in range(rows):
-            message = own[msg_of[row]]
-            entry = entries[row]
-            best_index = best_list[row]
-            if best_index >= 0:
-                # reduce_rows is ascending, so a running slot counter walks
-                # the batched-combine results in row order.
-                partner = partner_list[best_index]
-                pair = (msg_of[row], best_index)
-                union = union_cache.get(pair)
-                if union is None:
-                    union = own_indices[msg_of[row]] | partner.indices
-                    union_cache[pair] = union
-                work.reduces += 1
-                if tracer.enabled:
-                    self._emit_op(
-                        PE_REDUCE, reduce_ready[slot], latencies.reduce_path
-                    )
-                raw.append(
-                    _RawOutput(
-                        indices=union,
-                        entry=entry - partner.indices,
-                        value=combined[slot],
-                        ready_cycle=reduce_ready[slot],
-                        hops=reduce_hops[slot],
-                        was_reduce=True,
-                    )
-                )
-                slot += 1
-            else:
-                work.forwards += 1
-                if tracer.enabled:
-                    self._emit_op(
-                        PE_FORWARD,
-                        message.ready_cycle + forward_path,
-                        forward_path,
-                    )
-                raw.append(
-                    _RawOutput(
-                        indices=own_indices[msg_of[row]],
-                        entry=entry,
-                        value=message.value,
-                        ready_cycle=message.ready_cycle + forward_path,
-                        hops=message.hops + 1,
-                        was_reduce=False,
-                        source_header=message.header,
-                    )
-                )
 
     # ------------------------------------------------------------------
     # Merge unit
@@ -568,20 +403,29 @@ class ProcessingElement:
 
     # ------------------------------------------------------------------
     def process(
-        self, input_a: Sequence[Message], input_b: Sequence[Message]
+        self,
+        input_a: Sequence[Message],
+        input_b: Sequence[Message],
+        universe_a: Optional[FrozenSet[int]] = None,
+        universe_b: Optional[FrozenSet[int]] = None,
     ) -> PEResult:
         """Run one batch through this PE.
 
         Either input may be empty (e.g. a rank holding no requested vector),
         in which case everything on the other input is forwarded — the paper's
         automatic-forward case for PE (4|15) in Fig. 6.
+
+        ``universe_a`` / ``universe_b`` are the indices homed beneath each
+        input's subtree (a leaf FIFO's own indices; a parent's is the union
+        of its children's).  They enable the exact-partner probe; leaving
+        them out runs the full scan, with byte-identical results.
         """
         work = PEWork(
             peak_input_occupancy=max(len(input_a), len(input_b))
         )
         raw: List[_RawOutput] = []
-        self._scan_side(input_a, input_b, work, raw)
-        self._scan_side(input_b, input_a, work, raw)
+        self._scan_side(input_a, input_b, universe_b, work, raw)
+        self._scan_side(input_b, input_a, universe_a, work, raw)
         outputs = self._merge(raw, work)
         outputs = self._apply_issue_limit(outputs)
         work.outputs = len(outputs)
@@ -616,13 +460,6 @@ class ProcessingElement:
         completion invariant: after the fold, the buffer holds one message
         covering exactly each query's indices homed on this FIFO.
         """
-        if self.kernel == KERNEL_VECTOR and len(stream) >= _VECTOR_FOLD_CUTOVER:
-            return self._fold_stream_vector(stream, work)
-        return self._fold_stream_scalar(stream, work)
-
-    def _fold_stream_scalar(
-        self, stream: Sequence[Message], work: PEWork
-    ) -> List[Message]:
         latencies = self.config.latencies
         buffer: List[Message] = []
 
@@ -631,12 +468,8 @@ class ProcessingElement:
             for entry in message.entries:
                 if not entry:
                     continue
-                best = None
-                for other in buffer:
-                    work.compares += 1
-                    if other.indices <= entry:
-                        if best is None or len(other.indices) > len(best.indices):
-                            best = other
+                work.compares += len(buffer)
+                best = _widest_contained(entry, buffer)
                 if best is not None:
                     work.reduces += 1
                     ready = (
@@ -674,118 +507,6 @@ class ProcessingElement:
         # fold (and therefore the reduced values' float association) must
         # not depend on DRAM scheduling or the hot-index tier, only the
         # ready arithmetic may.
-        for message in stream:
-            insert(message)
-        return self._coalesce(buffer, work)
-
-    def _fold_stream_vector(
-        self, stream: Sequence[Message], work: PEWork
-    ) -> List[Message]:
-        """Membership-gather kernel equivalent of :meth:`_fold_stream_scalar`.
-
-        The buffer's ``indices`` sets are mirrored in an incrementally grown
-        position matrix (one padded row of universe positions per buffered
-        message), so each arriving entry tests containment against the
-        *whole* buffer in one gather-and-reduce instead of a Python scan —
-        cost proportional to the widest buffered set, not to the index
-        universe.  Insertion order, greedy-match choices, and all ``PEWork``
-        counters are identical to the scalar fold.
-        """
-        latencies = self.config.latencies
-        universe = IndexUniverse(
-            [m.indices for m in stream]
-            + [entry for m in stream for entry in m.entries]
-        )
-        position_of = universe.position_map()
-        sentinel = universe.size
-        buffer: List[Message] = []
-        rows_by_indices: Dict[FrozenSet[int], List[int]] = {}
-        capacity = max(4, 2 * len(stream))
-        width = max((len(m.indices) for m in stream), default=1)
-        buffer_pos = np.full((capacity, width), sentinel, dtype=np.int64)
-        buffer_sizes = np.zeros(capacity, dtype=np.int64)
-
-        def append_row(message: Message) -> None:
-            nonlocal capacity, width, buffer_pos, buffer_sizes
-            if len(buffer) > capacity:
-                raise AssertionError("buffer bookkeeping out of sync")
-            if len(buffer) == capacity:
-                capacity *= 2
-                buffer_pos = np.vstack(
-                    [buffer_pos, np.full_like(buffer_pos, sentinel)]
-                )
-                buffer_sizes = np.concatenate(
-                    [buffer_sizes, np.zeros_like(buffer_sizes)]
-                )
-            positions = [position_of[i] for i in message.indices]
-            if len(positions) > width:
-                grown = np.full(
-                    (capacity, len(positions)), sentinel, dtype=np.int64
-                )
-                grown[:, :width] = buffer_pos
-                buffer_pos = grown
-                width = len(positions)
-            row = len(buffer)
-            buffer_pos[row, : len(positions)] = positions
-            buffer_pos[row, len(positions):] = sentinel
-            buffer_sizes[row] = len(positions)
-            rows_by_indices.setdefault(message.indices, []).append(row)
-            buffer.append(message)
-
-        def insert(message: Message) -> None:
-            produced: List[Message] = []
-            count = len(buffer)
-            live = [entry for entry in message.entries if entry]
-            if live:
-                work.compares += count * len(live)
-            if live and count:
-                membership = np.zeros(sentinel + 1, dtype=bool)
-                membership[sentinel] = True
-                for entry in live:
-                    positions = [position_of[i] for i in entry]
-                    membership[positions] = True
-                    contained = membership[buffer_pos[:count]].all(axis=1)
-                    membership[positions] = False
-                    # Sizes are ≥ 1 (headers name at least one index), so
-                    # ``contained * sizes`` is positive exactly for
-                    # contained buffer rows; argmax keeps the earliest
-                    # maximal match, like the scalar scan.
-                    score = contained * buffer_sizes[:count]
-                    choice = int(score.argmax())
-                    if score[choice] <= 0:
-                        continue
-                    best = buffer[choice]
-                    work.reduces += 1
-                    ready = (
-                        max(message.ready_cycle, best.ready_cycle)
-                        + latencies.reduce_path
-                    )
-                    if self.tracer.enabled:
-                        self._emit_op(PE_REDUCE, ready, latencies.reduce_path)
-                    produced.append(
-                        Message(
-                            header=message.header.reduced_with(
-                                best.indices, entry
-                            ),
-                            value=self.operator.combine(
-                                message.value, best.value
-                            ),
-                            ready_cycle=ready,
-                            hops=max(message.hops, best.hops),
-                        )
-                    )
-            append_row(message)
-            for combined in produced:
-                already = any(
-                    set(combined.entries) <= set(buffer[row].entries)
-                    for row in rows_by_indices.get(combined.indices, ())
-                )
-                if already:
-                    work.duplicates_removed += 1
-                else:
-                    insert(combined)
-
-        # FIFO arrival order, matching the scalar fold exactly.
         for message in stream:
             insert(message)
         return self._coalesce(buffer, work)

@@ -22,7 +22,7 @@ truth (see ``tests/core/test_phased.py`` and the timing-model docs).
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, FrozenSet, List
 
 from repro.core.engine import FafnirEngine
 from repro.core.header import Message
@@ -36,6 +36,7 @@ class PhasedFafnirEngine(FafnirEngine):
         self, leaf_inputs: Dict[int, List[List[Message]]]
     ) -> tuple:
         outputs: Dict[int, List[Message]] = {}
+        universes: Dict[int, FrozenSet[int]] = {}
         per_pe_work: Dict[int, PEWork] = {}
         units = self.config.compute_units
         latencies = self.config.latencies
@@ -47,20 +48,13 @@ class PhasedFafnirEngine(FafnirEngine):
                 self.operator,
                 name=f"PE{pe_id}",
                 check_values=self._check_values,
-                kernel=self._kernel,
             )
-            if node.is_leaf:
-                fold_work = PEWork()
-                raw_a, raw_b = leaf_inputs[pe_id]
-                input_a = pe.fold_stream(raw_a, fold_work)
-                input_b = pe.fold_stream(raw_b, fold_work)
-            else:
-                fold_work = PEWork()
-                left, right = node.children  # type: ignore[misc]
-                input_a = outputs.get(left, [])
-                input_b = outputs.get(right, [])
-
-            result = pe.process(input_a, input_b)
+            fold_work = PEWork()
+            input_a, input_b, universe_a, universe_b = self._pe_inputs(
+                pe, node, leaf_inputs, outputs, universes, fold_work
+            )
+            result = pe.process(input_a, input_b, universe_a, universe_b)
+            universes[pe_id] = universe_a | universe_b
             work = result.work.merged_with(fold_work)
 
             # Phased timing: wait for the whole input batch, grind through

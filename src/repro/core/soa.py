@@ -20,21 +20,26 @@ with no per-message objects in the steady state:
   keeps as lists of objects lives here as array slices and cursors.
 * **Level barrier** — :func:`run_tree_soa` sweeps the tree level by level;
   within a level each PE's compute-unit scan is a handful of array ops
-  (packed-bitset subset tests, one batched ``operator.combine``) and the
-  merge unit/issue limit are vectorized group reductions.
+  and one dictionary probe per distinct entry (below), and the merge
+  unit/issue limit are vectorized group reductions.
 
 The index universe is numbered **leaf-major** (walking the level-0 PEs in
 tree order, each FIFO side's home indices get consecutive bit positions),
-so any subtree's folded index sets occupy one contiguous word window of
-the bitset rows.  A scan restricts its subset tests to the partner
-stream's window — near the leaves that is a couple of words per test
-regardless of batch size.
+so every subtree's universe — the indices homed beneath it — is one
+contiguous bit range.  Partners are chosen with the object path's
+exact-partner probe (see :mod:`repro.core.pe`), in the pool domain: an
+entry's bits AND the partner universe's bits are the key, and the partner
+whose bits equal it is the widest partner the entry contains.  Both are
+read only inside the partner universe's word window — near the leaves a
+couple of words per entry regardless of batch size.  A miss on a non-zero
+key, or a partner stream that repeats an index set, falls back to the
+full scan.
 
 Byte-identity with the object path is a hard contract, enforced by the
 differential harness: identical result vectors, identical
 :class:`~repro.core.pe.PEWork` counters, and ``==``-equal trace-event
 streams (same kinds, cycles, and emission order).  The sweep therefore
-reproduces the object kernels' exact decision rules: maximal-partner
+reproduces the object path's exact decision rules: maximal-partner
 matching with earliest-partner tie-break, merge-unit grouping in
 first-appearance order with the forwarded-intact header fast path, entry
 dedup in member order, and the issue limit's ``(ready_cycle, sorted
@@ -60,17 +65,6 @@ from repro.core.pe import PEWork
 from repro.core.tree import FafnirTree
 from repro.obs.events import KIND_CODES, PE_FORWARD, PE_MERGE, PE_REDUCE
 from repro.obs.tracer import Tracer
-
-#: Bound on the per-chunk temporary of the packed subset test.
-_SUBSET_CHUNK_BYTES = 8 << 20
-
-#: Above this many (entries × partners × words) word-ops the dense packed
-#: subset test switches to sparse intersection counting.  Header sets are a
-#: few dozen indices inside windows of thousands of bits (<1% density), so
-#: the sparse path's Σ_u |entries∋u|·|partners∋u| scatter work is orders of
-#: magnitude below the dense product at the upper tree levels, while the
-#: dense kernel stays faster on the small, narrow-window leaf scans.
-_DENSE_SUBSET_OPS = 1 << 21
 
 _KIND_REDUCE = KIND_CODES[PE_REDUCE]
 _KIND_FORWARD = KIND_CODES[PE_FORWARD]
@@ -281,7 +275,7 @@ class _SetPool:
         if not missing:
             return
         rows = self.bits[np.asarray(missing, dtype=np.int64)]
-        row, col = _decode_bit_positions(rows, sort=False)
+        row, col = _decode_bit_positions(rows)
         values = self._index_values[col]
         order = np.lexsort((values, row))
         buffer = (values[order] - self._key_bias).astype(">u8").tobytes()
@@ -353,10 +347,10 @@ class _Stream:
     ``entry_tuples[i]`` is message *i*'s header entries as pool ids in
     canonical header order; ``flat_entries``/``entry_counts`` are the same
     data in CSR form for the row-expanded scan.  ``values`` is the
-    contiguous (messages × elements) value matrix.  ``word_lo:word_hi``
-    is the bitset word window covering every index homed beneath this
-    stream's subtree — the only columns a partner-subset test against
-    this stream ever needs to read.
+    contiguous (messages × elements) value matrix.  ``bit_lo:bit_hi`` is
+    the bit range of every index homed beneath this stream's subtree (its
+    universe): the leaf-major numbering makes it contiguous, and a partner
+    probe against this stream reads only the words that range covers.
     """
 
     __slots__ = (
@@ -367,8 +361,8 @@ class _Stream:
         "entry_tuples",
         "entry_counts",
         "flat_entries",
-        "word_lo",
-        "word_hi",
+        "bit_lo",
+        "bit_hi",
     )
 
     def __init__(
@@ -378,8 +372,8 @@ class _Stream:
         hops: np.ndarray,
         values: np.ndarray,
         entry_tuples: List[Tuple[int, ...]],
-        word_lo: int,
-        word_hi: int,
+        bit_lo: int,
+        bit_hi: int,
     ) -> None:
         self.indices_id = indices_id
         self.ready = ready
@@ -393,8 +387,8 @@ class _Stream:
         self.flat_entries = np.fromiter(
             (e for t in entry_tuples for e in t), np.int64, total
         )
-        self.word_lo = word_lo
-        self.word_hi = word_hi
+        self.bit_lo = bit_lo
+        self.bit_hi = bit_hi
 
     def __len__(self) -> int:
         return len(self.entry_tuples)
@@ -409,13 +403,13 @@ def _fold_leaf_stream(
     pe_id: int,
     level: int,
     work: PEWork,
-    word_lo: int,
-    word_hi: int,
+    bit_lo: int,
+    bit_hi: int,
     elements: int,
 ) -> _Stream:
     """Greedy FIFO fold in the pool domain, byte-identical to the object PE.
 
-    Replays :meth:`ProcessingElement._fold_stream_scalar` — same greedy
+    Replays :meth:`ProcessingElement.fold_stream` — same greedy
     closure (arrival order, earliest maximal buffered match per live
     entry), same ``PEWork`` counters, same ``pe_reduce``/``pe_merge``
     events — but buffered index sets carry memoised Python-int masks, so
@@ -517,7 +511,7 @@ def _fold_leaf_stream(
             else:
                 insert(c_ind, c_mask, c_entries, c_ready, c_hops, c_value)
 
-    # FIFO arrival order, mirroring the object kernels' fold: functional
+    # FIFO arrival order, mirroring the object path's fold: functional
     # pairing must not depend on DRAM scheduling or the hot-index tier.
     for message in stream:
         header = message.header
@@ -587,8 +581,8 @@ def _fold_leaf_stream(
         np.asarray(out_hops, dtype=np.int64),
         values,
         entry_tuples,
-        word_lo,
-        word_hi,
+        bit_lo,
+        bit_hi,
     )
 
 
@@ -619,14 +613,8 @@ class _RawBlock:
     )
 
 
-def _decode_bit_positions(
-    rows: np.ndarray, sort: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(row, col)`` of every set bit, row-major, cols ascending per row.
-
-    With ``sort=False`` the pairs come back in peel order instead —
-    callers that re-sort by their own criteria anyway can skip the
-    row-major lexsort.
+def _decode_bit_positions(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row, col)`` of every set bit, in peel order (callers re-sort).
 
     Two-stage decode: locate the (few) nonzero words first, then peel
     set bits off those words lowest-first, compacting exhausted words
@@ -655,109 +643,87 @@ def _decode_bit_positions(
             remaining = remaining[alive]
             live_row = live_row[alive]
             live_base = live_base[alive]
-    row = np.concatenate(out_rows)
-    col = np.concatenate(out_cols)
-    if not sort:
-        return row, col
-    order = np.lexsort((col, row))
-    return row[order], col[order]
+    return np.concatenate(out_rows), np.concatenate(out_cols)
+
+
+def _range_mask(bit_lo: int, bit_hi: int) -> np.ndarray:
+    """Packed words of bits ``[bit_lo, bit_hi)``, from word ``bit_lo >> 6``."""
+    first = bit_lo >> 6
+    words = ((bit_hi + 63) >> 6) - first
+    mask = ((1 << (bit_hi - bit_lo)) - 1) << (bit_lo - 64 * first)
+    return np.frombuffer(mask.to_bytes(8 * words, "little"), dtype=np.uint64)
+
+
+def _probe_table(partner_bits: np.ndarray) -> Optional[Dict[bytes, int]]:
+    """Partner positions keyed by their window bytes, or ``None``.
+
+    ``None`` (every entry takes the full scan) when the partner stream
+    repeats an index set.
+    """
+    table: Dict[bytes, int] = {}
+    for position, key in enumerate(_row_bytes(partner_bits)):
+        table.setdefault(key, position)
+    return table if len(table) == len(partner_bits) else None
+
+
+def _row_bytes(rows: np.ndarray) -> List[bytes]:
+    """Each row's raw bytes, sliced from one ``tobytes`` call."""
+    width = rows.itemsize * rows.shape[1]
+    flat = rows.tobytes()
+    return [flat[start : start + width] for start in range(0, len(flat), width)]
+
+
+def _widest_contained(
+    entry_bits: np.ndarray, partner_bits: np.ndarray, partner_sizes: np.ndarray
+) -> int:
+    """The full scan for one entry: the widest contained partner, or -1.
+
+    Earliest partner wins ties, as in the object path's reference scan.
+    """
+    contained = np.flatnonzero(~(partner_bits & ~entry_bits).any(axis=1))
+    if not len(contained):
+        return -1
+    return int(contained[partner_sizes[contained].argmax()])
 
 
 def _best_partner(
-    entry_bits: np.ndarray,
-    partner_bits: np.ndarray,
-    partner_sizes: np.ndarray,
+    pool: _SetPool, entry_ids: np.ndarray, partners: _Stream
 ) -> np.ndarray:
-    """Per entry, the best contained partner's local index (-1 if none).
+    """Per entry id, the chosen partner's position in ``partners`` (-1: none).
 
-    "Best" is the scalar kernel's choice: the partner with the most
-    indices among those whose bits ⊆ the entry's bits, earliest partner
-    winning ties.  Both bit matrices are pre-sliced to the partner
-    stream's word window.
-
-    Small problems take the dense packed-AND kernel (chunked over
-    entries to bound the (entries × partners × words) temporary).  Large
-    ones never materialize the (entries × partners) plane at all: a
-    contained partner must co-occur with the entry on *every* one of its
-    bits, in particular its rarest (the universe bit the fewest entries
-    hold), so pairing each partner only with the entries holding its
-    rarest bit yields a complete candidate set of size
-    Σ_p |entries ∋ rarest_bit(p)| — for the <1%-dense header sets at the
-    upper tree levels a tiny fraction of the full plane, and in practice
-    barely above the true match count.  Candidates are then verified
-    with one packed AND per pair and the argmax runs only over matches.
+    The same exact-partner probe as the object path, in the pool domain:
+    an entry's bits AND the partner universe's bits form the key, and the
+    partner whose bits equal that key is the widest one the entry holds.
+    Everything is sliced to the partner universe's word window, where the
+    partners' own bits all lie.  A miss on a non-zero key, or a partner
+    stream that repeats an index set, falls back to the full scan; a zero
+    key means no partner can be contained.
     """
-    n_entries = len(entry_bits)
-    n_partners = len(partner_bits)
-    words = max(1, entry_bits.shape[1])
-    if n_entries * n_partners * words <= _DENSE_SUBSET_OPS:
-        best = np.full(n_entries, -1, dtype=np.int64)
-        not_entry = ~entry_bits
-        chunk = max(1, _SUBSET_CHUNK_BYTES // (n_partners * words * 8))
-        for start in range(0, n_entries, chunk):
-            stop = min(start + chunk, n_entries)
-            contained = ~np.bitwise_and(
-                partner_bits[None, :, :], not_entry[start:stop, None, :]
-            ).any(axis=2)
-            # Sizes are ≥ 1 for any partner with bits, so the product is
-            # positive exactly for contained partners and argmax keeps
-            # the first maximum.
-            score = contained * partner_sizes[None, :]
-            choice = score.argmax(axis=1)
-            matched = score[np.arange(stop - start), choice] > 0
-            best[start:stop] = np.where(matched, choice, -1)
-        return best
-
-    best = np.full(n_entries, -1, dtype=np.int64)
-    e_row, e_col = _decode_bit_positions(entry_bits, sort=False)
-    p_row, p_col = _decode_bit_positions(partner_bits)
-    if not len(e_row) or not len(p_row):
-        return best
-    n_bits = words * 64
-    e_cnt = np.bincount(e_col, minlength=n_bits)
-    e_order = np.argsort(e_col, kind="stable")
-    e_by_col = e_row[e_order]
-    e_bounds = np.searchsorted(e_col[e_order], np.arange(n_bits + 1))
-
-    # Per partner, the first bit with the fewest holding entries.
-    # ``p_row`` is row-major from the decode, so partner segments are
-    # contiguous and segment minima come from one reduceat.
-    freq = e_cnt[p_col]
-    seg_breaks = np.concatenate(([True], p_row[1:] != p_row[:-1]))
-    seg_starts = np.flatnonzero(seg_breaks)
-    seg_of = np.cumsum(seg_breaks) - 1
-    is_min = freq == np.minimum.reduceat(freq, seg_starts)[seg_of]
-    min_pos = np.flatnonzero(is_min)
-    min_seg = seg_of[min_pos]
-    first = np.flatnonzero(
-        np.concatenate(([True], min_seg[1:] != min_seg[:-1]))
-    )
-    chosen_bit = p_col[min_pos[first]]
-    chosen_partner = p_row[min_pos[first]]
-
-    # Candidate pairs: each partner × the entries holding its rarest bit.
-    cand_per_p = e_cnt[chosen_bit]
-    starts = np.concatenate(([0], np.cumsum(cand_per_p)))
-    local = np.arange(starts[-1], dtype=np.int64) - np.repeat(
-        starts[:-1], cand_per_p
-    )
-    cand_e = e_by_col[np.repeat(e_bounds[chosen_bit], cand_per_p) + local]
-    cand_p = np.repeat(chosen_partner, cand_per_p)
-    ok = ~np.bitwise_and(
-        partner_bits[cand_p], ~entry_bits[cand_e]
-    ).any(axis=1)
-    if not ok.any():
-        return best
-    e_of = cand_e[ok]
-    p_of = cand_p[ok]
-    sizes = partner_sizes[p_of]
-    order = np.lexsort((p_of, -sizes, e_of))
-    e_sorted = e_of[order]
-    firsts = np.flatnonzero(
-        np.concatenate(([True], e_sorted[1:] != e_sorted[:-1]))
-    )
-    best[e_sorted[firsts]] = p_of[order][firsts]
-    return best
+    window = slice(partners.bit_lo >> 6, (partners.bit_hi + 63) >> 6)
+    partner_bits = pool.bits[partners.indices_id, window]
+    partner_sizes = pool.sizes[partners.indices_id]
+    entry_bits = pool.bits[entry_ids, window]
+    table = _probe_table(partner_bits)
+    if table is None:
+        return np.fromiter(
+            (
+                _widest_contained(bits, partner_bits, partner_sizes)
+                for bits in entry_bits
+            ),
+            np.int64,
+            len(entry_bits),
+        )
+    keys = entry_bits & _range_mask(partners.bit_lo, partners.bit_hi)
+    live = keys.any(axis=1).tolist()
+    best = []
+    for row, key in enumerate(_row_bytes(keys)):
+        position = table.get(key) if live[row] else -1
+        if position is None:
+            position = _widest_contained(
+                entry_bits[row], partner_bits, partner_sizes
+            )
+        best.append(position)
+    return np.asarray(best, dtype=np.int64)
 
 
 def _map_pairs(
@@ -805,7 +771,7 @@ def _scan_side(
     own_block: int,
     comb_block: int,
 ) -> _RawBlock:
-    """Columnar equivalent of the object kernels' one-direction scan.
+    """Columnar equivalent of the object path's one-direction scan.
 
     Emits one raw row per (message, entry) pair in scalar scan order:
     reduce rows pick the maximal contained partner (earliest on ties),
@@ -834,25 +800,13 @@ def _scan_side(
     raw.compares = num_partners * int(nonempty.sum())
 
     best = np.full(rows, -1, dtype=np.int64)
-    if num_partners and nonempty.any() and partners.word_hi > partners.word_lo:
+    if num_partners and nonempty.any():
         # Identical entries choose identical partners — match each
-        # distinct entry id once (the object vector kernel's slot dedup).
+        # distinct entry id once.
         unique_entries, inverse = np.unique(
             row_ent[nonempty], return_inverse=True
         )
-        max_entry = int(pool.sizes[unique_entries].max())
-        # A partner wider than the widest entry can never be contained.
-        partner_sizes = pool.sizes[partners.indices_id]
-        eligible = np.flatnonzero(partner_sizes <= max_entry)
-        if eligible.size:
-            window = slice(partners.word_lo, partners.word_hi)
-            choice = _best_partner(
-                pool.bits[unique_entries, window],
-                pool.bits[partners.indices_id[eligible], window],
-                partner_sizes[eligible],
-            )
-            slot_best = np.where(choice >= 0, eligible[choice], -1)
-            best[nonempty] = slot_best[inverse]
+        best[nonempty] = _best_partner(pool, unique_entries, partners)[inverse]
 
     reduce_rows = np.flatnonzero(best >= 0)
     forward_rows = np.flatnonzero(best < 0)
@@ -958,8 +912,8 @@ def _process_pe(
             np.zeros(0, np.int64),
             np.zeros((0, elements), np.float64),
             [],
-            min(input_a.word_lo, input_b.word_lo),
-            max(input_a.word_hi, input_b.word_hi),
+            min(input_a.bit_lo, input_b.bit_lo),
+            max(input_a.bit_hi, input_b.bit_hi),
         )
         return stream, work
 
@@ -1165,8 +1119,8 @@ def _process_pe(
         out_hops[perm],
         out_values,
         [out_entries[p] for p in perm_l],
-        min(input_a.word_lo, input_b.word_lo),
-        max(input_a.word_hi, input_b.word_hi),
+        min(input_a.bit_lo, input_b.bit_lo),
+        max(input_a.bit_hi, input_b.bit_hi),
     )
     return stream, work
 
@@ -1208,7 +1162,6 @@ def run_tree_soa(
     operator: ReductionOperator,
     tracer: Tracer,
     check_values: bool,
-    kernel: str,
     leaf_inputs: Dict[int, List[List[Message]]],
 ) -> Tuple[List[Message], Dict[int, PEWork]]:
     """Level-synchronous SoA replacement for ``FafnirEngine._run_tree``.
@@ -1245,8 +1198,8 @@ def run_tree_soa(
                     pe_id,
                     node.level,
                     fold_work,
-                    lo_a >> 6,
-                    (hi_a + 63) >> 6,
+                    lo_a,
+                    hi_a,
                     elements,
                 )
                 input_b = _fold_leaf_stream(
@@ -1258,8 +1211,8 @@ def run_tree_soa(
                     pe_id,
                     node.level,
                     fold_work,
-                    lo_b >> 6,
-                    (hi_b + 63) >> 6,
+                    lo_b,
+                    hi_b,
                     elements,
                 )
             else:

@@ -237,7 +237,6 @@ class ServingSimulator:
     batcher: ContinuousBatcher
     config: Optional[FafnirConfig] = None
     engine: str = "object"
-    kernel: str = "vector"
     interactive_fallback: bool = True
     registry: Optional[MetricsRegistry] = None
     cache: Optional[HotTierConfig] = None
@@ -285,7 +284,6 @@ class ServingSimulator:
         """The batch engine, with open ranks routed to a boosted tier."""
         return FafnirEngine(
             config=self.config,
-            kernel=self.kernel,
             engine=self.engine,
             cache=self._tier_for(open_ranks),
             faults=self.faults,

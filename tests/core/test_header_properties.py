@@ -2,8 +2,8 @@
 
 ``Header`` implements the paper's (indices, queries) bookkeeping as set
 algebra over frozensets; Python's ``set`` semantics are the oracle.  The
-canonical entry ordering is load-bearing — the scalar and vector PE
-kernels iterate entries in header order, so two headers built from the
+canonical entry ordering is load-bearing — the object walk and the SoA
+sweep iterate entries in header order, so two headers built from the
 same sets in different orders must be ``==``-equal or the differential
 event-stream tests could never pass.
 """

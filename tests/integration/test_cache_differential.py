@@ -7,8 +7,8 @@ multi-batch streams (repeats across batches are what make the cache
 actually hit) and requires:
 
 * byte-identical vectors, identical per-query statuses, and identical
-  per-PE work counters across all three engine variants (scalar kernel,
-  vector kernel, SoA sweep);
+  per-PE work counters across both tree sweeps (object walk, SoA sweep),
+  and every query equal to a CPU oracle over the indices that survived;
 * the same invariance under fault injection, in both fail-fast-survivable
   and degrade modes — injected read timeouts are keyed by batch position,
   and the tier keeps positions intact, so the *same* queries degrade;
@@ -41,7 +41,7 @@ from repro.tiering import HotTierConfig
 
 UNIVERSE = 96  # small on purpose: cross-batch repeats keep the tier hot
 LINK = LinkModel(latency_ns=300.0, bandwidth_gb_s=20.0)
-VARIANTS = [("scalar", "object"), ("vector", "object"), ("vector", "soa")]
+ENGINES = ("object", "soa")
 
 
 def random_setup(seed):
@@ -93,11 +93,25 @@ class make_source:
         return rng.standard_normal(self.elements)
 
 
+def assert_matches_oracle(result, batches, source):
+    """Each ``ok``/``degraded`` query equals a plain NumPy sum of the
+    indices that survived its batch; ``failed`` queries are all-NaN."""
+    for batch, item in zip(batches, result.results):
+        for query, vector, status in zip(
+            batch, item.vectors, item.query_statuses
+        ):
+            surviving = sorted(set(query) - item.dropped_indices)
+            if status == "failed":
+                assert not surviving and np.isnan(vector).all()
+                continue
+            expected = np.sum([source(index) for index in surviving], axis=0)
+            np.testing.assert_allclose(vector, expected, rtol=1e-12, atol=1e-12)
+
+
 def run_variant(
     config,
     batches,
     source,
-    kernel,
     engine,
     cache,
     deduplicate,
@@ -108,7 +122,6 @@ def run_variant(
     sink = InMemorySink() if trace else None
     instance = FafnirEngine(
         config=config,
-        kernel=kernel,
         engine=engine,
         cache=cache,
         faults=faults,
@@ -116,6 +129,7 @@ def run_variant(
         tracer=Tracer([sink]) if sink is not None else None,
     )
     result = instance.run_batches(batches, source, deduplicate=deduplicate)
+    assert_matches_oracle(result, batches, source)
     functional = (
         tuple(vector.tobytes() for vector in result.vectors),
         tuple(result.statuses),
@@ -138,13 +152,13 @@ def test_cached_runs_are_byte_identical_across_engines(seed):
     source = make_source(seed, config.vector_elements)
 
     reference, base_reads, _, _ = run_variant(
-        config, batches, source, "vector", "object", None, deduplicate
+        config, batches, source, "object", None, deduplicate
     )
-    for kernel, engine in VARIANTS:
+    for engine in ENGINES:
         cached, cached_reads, _, instance = run_variant(
-            config, batches, source, kernel, engine, cache, deduplicate
+            config, batches, source, engine, cache, deduplicate
         )
-        assert cached == reference, f"{kernel}/{engine} diverged under cache"
+        assert cached == reference, f"{engine} diverged under cache"
         assert cached_reads <= base_reads
         stats = instance.memory.cache_stats
         assert stats.hits + stats.misses == stats.accesses
@@ -172,28 +186,24 @@ def test_cached_runs_are_byte_identical_under_faults(seed):
         config,
         batches,
         source,
-        "vector",
         "object",
         None,
         deduplicate,
         faults=plan,
         fault_policy=policy,
     )
-    for kernel, engine in VARIANTS:
+    for engine in ENGINES:
         cached, cached_reads, _, _ = run_variant(
             config,
             batches,
             source,
-            kernel,
             engine,
             cache,
             deduplicate,
             faults=plan,
             fault_policy=policy,
         )
-        assert cached == reference, (
-            f"{kernel}/{engine} diverged under cache + faults"
-        )
+        assert cached == reference, f"{engine} diverged under cache + faults"
         assert cached_reads <= base_reads
 
 
@@ -205,10 +215,10 @@ def test_trace_derived_pe_work_is_invariant(seed):
     source = make_source(seed, config.vector_elements)
 
     _, _, base_events, _ = run_variant(
-        config, batches, source, "vector", "soa", None, deduplicate, trace=True
+        config, batches, source, "soa", None, deduplicate, trace=True
     )
     _, _, cached_events, _ = run_variant(
-        config, batches, source, "vector", "soa", cache, deduplicate, trace=True
+        config, batches, source, "soa", cache, deduplicate, trace=True
     )
     for kind in (PE_REDUCE, PE_FORWARD, PE_MERGE):
         assert per_level_counts(base_events, kind) == per_level_counts(
@@ -233,11 +243,11 @@ def test_warmed_zipf_stream_strictly_reduces_dram_reads():
     source = make_source(0, config.vector_elements)
     batches = [[[0, 1, 2]], [[0, 5, 9]], [[0, 13, 2]]]
     _, base_reads, _, _ = run_variant(
-        config, batches, source, "vector", "object", None, True
+        config, batches, source, "object", None, True
     )
     cache = HotTierConfig(size_bytes=4096, line_bytes=64)
     _, cached_reads, _, instance = run_variant(
-        config, batches, source, "vector", "object", cache, True
+        config, batches, source, "object", cache, True
     )
     # id 0 re-read twice, id 2 once: three DRAM reads replaced by hits.
     assert instance.memory.cache_stats.hits == 3

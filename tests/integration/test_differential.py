@@ -1,22 +1,23 @@
 """Differential harness: FAFNIR vs a CPU oracle across randomized configs.
 
-Two independent implementations of the same contract are compared on
+Independent implementations of the same contract are compared on
 randomly drawn machines and workloads:
 
 * **functional** — the tree's per-query outputs must equal a plain NumPy
   reduction of the same table rows, whatever the tree arity, rank count,
   rank→leaf wiring permutation, batch shape, or dedup setting;
-* **behavioural** — the scalar kernel, the vectorized kernel, and the
-  level-synchronous SoA sweep must emit *identical* event streams (same
-  kinds, cycles, PEs, levels, args, in the same order) and identical
-  per-level event counts, recorded through in-memory sinks.
+* **behavioural** — the scalar object walk (one ``ProcessingElement`` at
+  a time over per-message objects) and the vectorized level-synchronous
+  SoA sweep must emit *identical* event streams (same kinds, cycles, PEs,
+  levels, args, in the same order) and identical per-level event counts.
   Byte-identical outputs could still hide divergent internal
   scheduling; stream equality cannot.
 
-The three-way engine comparison runs plain, traced (object and columnar
-sinks), and fault-injected (latency degradation + read timeouts under
-the degrade policy) — the SoA sweep must be indistinguishable from the
-object walk in every observable, not just on the happy path.
+Object == SoA == CPU oracle is checked plain (untraced), traced through
+the object in-memory sink and the packed columnar sink, and
+fault-injected (latency degradation + read timeouts under the degrade
+policy) — the SoA sweep must be indistinguishable from the object walk
+in every observable, not just on the happy path.
 
 Configs are drawn from a seeded RNG so every run covers the same
 machines (failures reproduce) while spanning the space far wider than
@@ -112,38 +113,38 @@ def test_fafnir_matches_cpu_reduction_all_operators(operator):
         np.testing.assert_allclose(vector, expected, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_scalar_and_vector_kernels_emit_identical_event_streams(seed):
-    config, rank_order, queries, deduplicate = random_setup(seed)
-    table = make_table(config, seed)
-
-    def run(kernel):
-        sink = InMemorySink()
-        engine = FafnirEngine(
-            config=config,
-            kernel=kernel,
-            rank_order=rank_order,
-            tracer=Tracer([sink]),
-        )
-        result = engine.run_batch(
-            queries, table.__getitem__, deduplicate=deduplicate
-        )
-        return result, sink.events
-
-    scalar_result, scalar_events = run("scalar")
-    vector_result, vector_events = run("vector")
-
-    # Same physics, bit for bit.
-    for a, b in zip(scalar_result.vectors, vector_result.vectors):
-        assert a.tobytes() == b.tobytes()
-    assert (
-        scalar_result.stats.latency_pe_cycles
-        == vector_result.stats.latency_pe_cycles
+def run_engine(config, rank_order, queries, deduplicate, table, engine,
+               sinks=None, faults=None):
+    """One batch through ``engine``; returns (result, object-sink events)."""
+    instance = FafnirEngine(
+        config=config,
+        engine=engine,
+        rank_order=rank_order,
+        faults=faults,
+        tracer=Tracer(sinks) if sinks is not None else None,
     )
-    assert scalar_result.stats.per_pe_work == vector_result.stats.per_pe_work
+    result = instance.run_batch(
+        queries, table.__getitem__, deduplicate=deduplicate
+    )
+    events = None
+    if sinks is not None:
+        recorded = [s for s in sinks if isinstance(s, InMemorySink)]
+        events = recorded[0].events if recorded else None
+    return result, events
 
-    # Same observable behaviour, event for event.
-    assert scalar_events == vector_events
+
+def assert_matches_oracle(result, queries, table, operator=SUM):
+    """Every ``ok``/``degraded`` query equals the CPU oracle over the
+    indices that survived; ``failed`` queries are all-NaN poison."""
+    for query, vector, status in zip(
+        queries, result.vectors, result.query_statuses
+    ):
+        surviving = set(query) - result.dropped_indices
+        if status == "failed":
+            assert not surviving and np.isnan(vector).all()
+            continue
+        expected = cpu_reduce(operator, table, surviving)
+        np.testing.assert_allclose(vector, expected, rtol=1e-12, atol=1e-12)
 
 
 def _assert_runs_identical(reference, candidate):
@@ -160,52 +161,57 @@ def _assert_runs_identical(reference, candidate):
     assert ref_result.stats.per_pe_work == cand_result.stats.per_pe_work
     assert ref_result.query_statuses == cand_result.query_statuses
     assert ref_events == cand_events
-    # Per-level counts are implied by stream equality, but assert them
-    # explicitly: if streams ever diverge, the level histogram localizes
-    # which tree stage drifted.
-    assert per_level_counts(ref_events) == per_level_counts(cand_events)
+    if ref_events is not None:
+        # Per-level counts are implied by stream equality, but assert
+        # them explicitly: if streams ever diverge, the level histogram
+        # localizes which tree stage drifted.
+        assert per_level_counts(ref_events) == per_level_counts(cand_events)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scalar_and_vector_kernels_emit_identical_event_streams(seed):
+    """The scalar object walk and the vectorized SoA sweep, traced
+    through the object in-memory sink, emit ``==``-equal streams and
+    agree with the CPU oracle."""
+    config, rank_order, queries, deduplicate = random_setup(seed)
+    table = make_table(config, seed)
+    runs = [
+        run_engine(
+            config, rank_order, queries, deduplicate, table, engine,
+            sinks=[InMemorySink()],
+        )
+        for engine in ("object", "soa")
+    ]
+    assert runs[0][1], "run recorded nothing"
+    _assert_runs_identical(*runs)
+    assert_matches_oracle(runs[0][0], queries, table)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_three_engine_paths_are_indistinguishable(seed):
-    """scalar kernel == vector kernel == SoA sweep, on every observable.
+    """object walk == SoA sweep == CPU oracle, untraced.
 
     The SoA sweep is a from-scratch rewrite of the tree walk (bitset
     pools instead of frozensets, level-synchronous batches instead of a
-    per-PE object loop), so nothing is shared with the object paths
-    except the contract — making stream equality here the strongest
-    evidence the rewrite preserved the machine's semantics.
+    per-PE object loop), so nothing is shared with the object path
+    except the contract; the oracle shares nothing at all.
     """
     config, rank_order, queries, deduplicate = random_setup(seed)
     table = make_table(config, seed)
-
-    def run(kernel, engine):
-        sink = InMemorySink()
-        instance = FafnirEngine(
-            config=config,
-            kernel=kernel,
-            engine=engine,
-            rank_order=rank_order,
-            tracer=Tracer([sink]),
-        )
-        result = instance.run_batch(
-            queries, table.__getitem__, deduplicate=deduplicate
-        )
-        return result, sink.events
-
-    scalar = run("scalar", "object")
-    vector = run("vector", "object")
-    soa = run("vector", "soa")
-
-    _assert_runs_identical(scalar, vector)
-    _assert_runs_identical(vector, soa)
+    object_run = run_engine(
+        config, rank_order, queries, deduplicate, table, "object"
+    )
+    soa_run = run_engine(config, rank_order, queries, deduplicate, table, "soa")
+    _assert_runs_identical(object_run, soa_run)
+    assert_matches_oracle(object_run[0], queries, table)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_soa_sweep_matches_object_walk_under_faults(seed):
     """Fault injection exercises retry/timeout paths the happy-path seeds
     never reach; the SoA sweep must replicate the object walk's behaviour
-    there too — same degraded timings, same statuses, same streams."""
+    there too — same degraded timings, same statuses, same streams — and
+    every surviving query must still match the oracle."""
     config, rank_order, queries, deduplicate = random_setup(seed)
     table = make_table(config, seed)
     plan = FaultPlan(
@@ -213,43 +219,38 @@ def test_soa_sweep_matches_object_walk_under_faults(seed):
         rank_latency_multipliers={1: 1.4},
         rank_timeout_probability={0: 0.15},
     )
-
-    def run(engine):
-        sink = InMemorySink()
-        instance = FafnirEngine(
-            config=config,
-            engine=engine,
-            rank_order=rank_order,
-            faults=plan,
-            tracer=Tracer([sink]),
+    object_run, soa_run = (
+        run_engine(
+            config, rank_order, queries, deduplicate, table, engine,
+            sinks=[InMemorySink()], faults=plan,
         )
-        result = instance.run_batch(
-            queries, table.__getitem__, deduplicate=deduplicate
-        )
-        return result, sink.events
-
-    _assert_runs_identical(run("object"), run("soa"))
+        for engine in ("object", "soa")
+    )
+    _assert_runs_identical(object_run, soa_run)
+    assert_matches_oracle(object_run[0], queries, table)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_columnar_sink_materializes_object_stream(seed):
     """The packed columnar ring buffer and the object in-memory sink are
-    two encodings of one stream: recording an SoA run through both at
-    once must materialize to ``==``-equal event lists."""
+    two encodings of one stream: recording a run through both at once
+    must materialize to ``==``-equal event lists, and the object walk's
+    and the SoA sweep's columnar recordings must be equal too."""
     config, rank_order, queries, deduplicate = random_setup(seed)
     table = make_table(config, seed)
-    columnar = ColumnarSink()
-    objects = InMemorySink()
-    engine = FafnirEngine(
-        config=config,
-        engine="soa",
-        rank_order=rank_order,
-        tracer=Tracer([columnar, objects]),
-    )
-    engine.run_batch(queries, table.__getitem__, deduplicate=deduplicate)
-    assert objects.events, "run recorded nothing"
-    assert len(columnar) == len(objects.events)
-    assert columnar.to_events() == objects.events
+    columnar = {}
+    for engine in ("object", "soa"):
+        sinks = [ColumnarSink(), InMemorySink()]
+        run_engine(
+            config, rank_order, queries, deduplicate, table, engine,
+            sinks=sinks,
+        )
+        objects = sinks[1]
+        assert objects.events, "run recorded nothing"
+        assert len(sinks[0]) == len(objects.events)
+        columnar[engine] = sinks[0].to_events()
+        assert columnar[engine] == objects.events
+    assert columnar["object"] == columnar["soa"]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

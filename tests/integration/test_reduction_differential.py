@@ -4,16 +4,17 @@ The cross-shard reduction (src/repro/comm/) claims byte-identity with the
 single-node tree for subtree-aligned partitions: each shard computes an
 exact subtree of the single-node tournament, and the canonical fold
 replays the missing upper levels in the same association.  This module
-pits every single-node engine variant (scalar kernel, vector kernel, SoA
-sweep) against every sharded ``reduction=`` schedule at power-of-two
-shard counts and requires bit-for-bit agreement on vectors and statuses —
-on clean runs and under index-keyed fault injection, where retries and
-dropped rows must land on exactly the same queries in both worlds.
+pits both single-node tree sweeps (object walk, SoA sweep) against every
+sharded ``reduction=`` schedule at power-of-two shard counts and requires
+bit-for-bit agreement on vectors and statuses — on clean runs and under
+index-keyed fault injection, where retries and dropped rows must land on
+exactly the same queries in both worlds — and agreement of every query
+with a CPU oracle over the indices that survived.
 
 Latencies are compared where the model says they must agree: the three
 sharded schedules share identical shard-local per-query latencies (a
-schedule only re-times the comm phase), and the single-node kernels share
-identical latencies among themselves.  Single-node and sharded latencies
+schedule only re-times the comm phase), and the two single-node sweeps
+share identical latencies.  Single-node and sharded latencies
 legitimately differ — a shard's private memory system sees less
 contention than one node serving the whole stream.
 """
@@ -30,7 +31,7 @@ from repro.obs import SHARD_MSG_SENT, SHARD_REDUCED
 
 UNIVERSE = 512
 LINK = LinkModel(latency_ns=300.0, bandwidth_gb_s=20.0)
-SINGLE_VARIANTS = [("scalar", "object"), ("vector", "object"), ("vector", "soa")]
+SINGLE_ENGINES = ("object", "soa")
 
 
 def random_setup(seed):
@@ -69,11 +70,27 @@ class make_source:
         return rng.standard_normal(self.elements)
 
 
-def run_single(config, batches, source, kernel, engine, **kwargs):
+def assert_matches_oracle(result, batches, source):
+    """Each ``ok``/``degraded`` query equals a plain NumPy sum of the
+    indices that survived its batch; ``failed`` queries are all-NaN."""
+    for batch, item in zip(batches, result.results):
+        for query, vector, status in zip(
+            batch, item.vectors, item.query_statuses
+        ):
+            surviving = sorted(set(query) - item.dropped_indices)
+            if status == "failed":
+                assert not surviving and np.isnan(vector).all()
+                continue
+            expected = np.sum([source(index) for index in surviving], axis=0)
+            np.testing.assert_allclose(vector, expected, rtol=1e-12, atol=1e-12)
+
+
+def run_single(config, batches, source, engine, **kwargs):
     instance = FafnirEngine(
-        config=config, operator="sum", kernel=kernel, engine=engine, **kwargs
+        config=config, operator="sum", engine=engine, **kwargs
     )
     result = instance.run_batches(batches, source)
+    assert_matches_oracle(result, batches, source)
     latencies = [
         cycles for item in result.results for cycles in item.ready_pe_cycles
     ]
@@ -99,21 +116,17 @@ SEEDS = range(8)
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matrix_agrees_on_vectors_and_statuses(seed):
-    """Every cell — 3 single-node variants x {2,4} shards x 3 schedules —
+    """Every cell — 2 single-node sweeps x {2,4} shards x 3 schedules —
     produces the same bytes and the same per-query statuses."""
     config, batches = random_setup(seed)
     source = make_source(seed, config.vector_elements)
 
-    reference, ref_statuses, _ = run_single(
-        config, batches, source, "vector", "object"
-    )
+    reference, ref_statuses, _ = run_single(config, batches, source, "object")
     ref_bytes = [vector.tobytes() for vector in reference]
 
-    for kernel, engine in SINGLE_VARIANTS:
-        vectors, statuses, _ = run_single(
-            config, batches, source, kernel, engine
-        )
-        assert [v.tobytes() for v in vectors] == ref_bytes, (kernel, engine)
+    for engine in SINGLE_ENGINES:
+        vectors, statuses, _ = run_single(config, batches, source, engine)
+        assert [v.tobytes() for v in vectors] == ref_bytes, engine
         assert statuses == ref_statuses
 
     for shards in (2, 4):
@@ -130,15 +143,13 @@ def test_matrix_agrees_on_vectors_and_statuses(seed):
 def test_local_latencies_are_schedule_independent(seed):
     """A schedule re-times only the comm phase: per-query shard-local
     latencies must be identical across all three schedules (and the
-    single-node kernels must agree among themselves)."""
+    two single-node sweeps must agree with each other)."""
     config, batches = random_setup(seed)
     source = make_source(seed, config.vector_elements)
 
     single = {
-        (kernel, engine): run_single(
-            config, batches, source, kernel, engine
-        )[2]
-        for kernel, engine in SINGLE_VARIANTS
+        engine: run_single(config, batches, source, engine)[2]
+        for engine in SINGLE_ENGINES
     }
     assert len({tuple(lat) for lat in single.values()}) == 1
 
@@ -173,16 +184,15 @@ def test_matrix_agrees_under_fault_injection(seed):
     )
 
     reference, ref_statuses, _ = run_single(
-        config,
-        batches,
-        source,
-        "vector",
-        "object",
-        faults=plan,
-        fault_policy=policy,
+        config, batches, source, "object", faults=plan, fault_policy=policy
     )
     ref_bytes = [vector.tobytes() for vector in reference]
     assert set(ref_statuses) != {"ok"}, "faults never fired; weak test"
+    vectors, statuses, _ = run_single(
+        config, batches, source, "soa", faults=plan, fault_policy=policy
+    )
+    assert [v.tobytes() for v in vectors] == ref_bytes
+    assert statuses == ref_statuses
 
     for shards in (2, 4):
         for name in sorted(SCHEDULES):
