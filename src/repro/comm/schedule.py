@@ -117,22 +117,33 @@ def canonical_fold(
     """
     if not entries:
         raise ValueError("cannot fold zero partials")
-
-    def fold(lo: int, hi: int) -> Optional[np.ndarray]:
-        if hi - lo == 1:
-            return entries.get(lo)
-        mid = (lo + hi) // 2
-        left = fold(lo, mid)
-        right = fold(mid, hi)
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return combine(left, right)
-
-    result = fold(0, _next_pow2(num_pieces))
+    result = _fold_window(entries, combine, 0, _next_pow2(num_pieces))
     assert result is not None
     return result
+
+
+def _fold_window(
+    entries: Mapping[int, np.ndarray],
+    combine: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: int,
+    hi: int,
+) -> Optional[np.ndarray]:
+    """The tournament over ``[lo, hi)``; ``None`` when no piece is present.
+
+    Module-level rather than a closure: a nested function that calls itself
+    by name forms a function/cell reference cycle, which outlives the fold
+    until the cyclic collector runs.
+    """
+    if hi - lo == 1:
+        return entries.get(lo)
+    mid = (lo + hi) // 2
+    left = _fold_window(entries, combine, lo, mid)
+    right = _fold_window(entries, combine, mid, hi)
+    if left is None:
+        return right
+    if right is None:
+        return left
+    return combine(left, right)
 
 
 def segment_count(
@@ -147,19 +158,24 @@ def segment_count(
     """
     if not held:
         return 0
+    return _count_window(held, present, 0, _next_pow2(num_pieces))
 
-    def count(lo: int, hi: int) -> int:
-        window_present = [p for p in present if lo <= p < hi]
-        if not window_present:
-            return 0
-        if all(p in held for p in window_present):
-            return 1
-        if hi - lo == 1:
-            return 0  # present but not held
-        mid = (lo + hi) // 2
-        return count(lo, mid) + count(mid, hi)
 
-    return count(0, _next_pow2(num_pieces))
+def _count_window(
+    held: FrozenSet[int], present: FrozenSet[int], lo: int, hi: int
+) -> int:
+    """Maximal held tournament subtrees in ``[lo, hi)``; see :func:`segment_count`."""
+    window_present = [p for p in present if lo <= p < hi]
+    if not window_present:
+        return 0
+    if all(p in held for p in window_present):
+        return 1
+    if hi - lo == 1:
+        return 0  # present but not held
+    mid = (lo + hi) // 2
+    return _count_window(held, present, lo, mid) + _count_window(
+        held, present, mid, hi
+    )
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,22 @@ behaviour, per-level PE work, data movement).
 
 from __future__ import annotations
 
+import gc
+import threading
 from collections import Counter as _Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -75,6 +88,51 @@ ENGINE_OBJECT = "object"
 #: Level-synchronous structure-of-arrays sweep (:mod:`repro.core.soa`).
 ENGINE_SOA = "soa"
 ENGINES = (ENGINE_OBJECT, ENGINE_SOA)
+
+# The collector is process-wide, so the pause's bookkeeping is too.
+_collector_lock = threading.Lock()
+_collector_depth = 0
+_collector_was_enabled = False
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause CPython's cyclic garbage collector for the enclosed block.
+
+    A batch allocates tens of thousands of long-lived frozensets, headers
+    and messages, and the collector would otherwise re-walk them many times
+    per batch.  Nothing in a batch forms a reference cycle, so reference
+    counting alone frees every level once its parent has read it, and
+    pausing the collector leaks nothing.  A lint test bans the recursive
+    closures that used to build such cycles, and the collector-contract
+    tests check each engine path for cyclic garbage.
+
+    Entries nest and may overlap across threads: a depth counter under a
+    lock makes only the outermost entry record ``gc.isenabled()`` and
+    disable the collector, and only the outermost exit restore the
+    recorded state, whether the block returns or raises.  When that state
+    is "enabled", the exit also runs the young-generation pass the pause
+    deferred if its allocation count is past the threshold, so the batch
+    pays for it instead of the caller's next allocation.
+    """
+    global _collector_depth, _collector_was_enabled
+    with _collector_lock:
+        if _collector_depth == 0:
+            _collector_was_enabled = gc.isenabled()
+            gc.disable()
+        _collector_depth += 1
+    try:
+        yield
+    finally:
+        with _collector_lock:
+            _collector_depth -= 1
+            resume = _collector_depth == 0 and _collector_was_enabled
+            if resume:
+                gc.enable()
+        if resume:
+            threshold = gc.get_threshold()[0]
+            if threshold and gc.get_count()[0] > threshold:
+                gc.collect(0)
 
 
 @dataclass
@@ -250,6 +308,14 @@ class FafnirEngine:
         placement: Optional[VectorPlacement] = None,
     ) -> None:
         """Build one FAFNIR instance.
+
+        Every :meth:`run_batch` (and :meth:`run_batches`) call runs with
+        CPython's cyclic garbage collector paused, whichever ``engine``,
+        ``faults`` or ``tracer`` is installed here.  The collector comes
+        back in the state the call found it in, once, at the outermost
+        exit of nested or concurrent calls.  A batch builds no reference
+        cycles, so nothing the call allocates outlives it because of the
+        pause.  There is no option to turn it off.
 
         Args:
             config: accelerator shape and timing (paper defaults if None).
@@ -610,6 +676,7 @@ class FafnirEngine:
         return vectors, ready_cycles
 
     # ------------------------------------------------------------------
+    @_collector_paused()
     def run_batch(
         self,
         queries: Sequence[Sequence[int]],
@@ -625,6 +692,15 @@ class FafnirEngine:
             deduplicate: eliminate redundant reads (the paper's mechanism);
                 pass ``False`` for the ablation baseline.
             reset_memory: start from cold row buffers (deterministic runs).
+
+        The call runs with the cyclic garbage collector paused (clean,
+        faulty and degraded paths alike, so every serving dispatch and
+        every shard too).  On return or raise the collector is back in
+        the state the call found it in; nested calls (:meth:`run_batches`)
+        and concurrent threads restore it once, at the outermost exit, and
+        a restored collector first runs the young-generation pass the
+        pause deferred.  A batch builds no reference cycles, so the pause
+        leaves no garbage behind.
         """
         if len(queries) > self.config.batch_size:
             raise ValueError(
@@ -949,6 +1025,7 @@ class FafnirEngine:
         return vectors, ready_cycles, statuses, per_pe_work
 
     # ------------------------------------------------------------------
+    @_collector_paused()
     def run_batches(
         self,
         batches: Sequence[Sequence[Sequence[int]]],
@@ -966,7 +1043,8 @@ class FafnirEngine:
         outputs (batch-at-a-time host), which is the serial sum.
 
         Functional outputs are identical either way; only the
-        :class:`PipelineStats` timing differs.
+        :class:`PipelineStats` timing differs.  The whole sequence runs
+        under one collector pause; each :meth:`run_batch` nests inside it.
         """
         if not batches:
             raise ValueError("need at least one batch")

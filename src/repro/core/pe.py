@@ -460,56 +460,57 @@ class ProcessingElement:
         completion invariant: after the fold, the buffer holds one message
         covering exactly each query's indices homed on this FIFO.
         """
-        latencies = self.config.latencies
         buffer: List[Message] = []
-
-        def insert(message: Message) -> None:
-            produced: List[Message] = []
-            for entry in message.entries:
-                if not entry:
-                    continue
-                work.compares += len(buffer)
-                best = _widest_contained(entry, buffer)
-                if best is not None:
-                    work.reduces += 1
-                    ready = (
-                        max(message.ready_cycle, best.ready_cycle)
-                        + latencies.reduce_path
-                    )
-                    if self.tracer.enabled:
-                        self._emit_op(PE_REDUCE, ready, latencies.reduce_path)
-                    produced.append(
-                        Message(
-                            header=message.header.reduced_with(
-                                best.indices, entry
-                            ),
-                            value=self.operator.combine(
-                                message.value, best.value
-                            ),
-                            ready_cycle=ready,
-                            hops=max(message.hops, best.hops),
-                        )
-                    )
-            buffer.append(message)
-            for combined in produced:
-                already = any(
-                    other.indices == combined.indices
-                    and set(combined.entries) <= set(other.entries)
-                    for other in buffer
-                )
-                if already:
-                    work.duplicates_removed += 1
-                else:
-                    insert(combined)
-
         # FIFO arrival order — the deterministic append order built by
         # ``FafnirEngine._leaf_inputs`` — not ready-cycle order: which pairs
         # fold (and therefore the reduced values' float association) must
         # not depend on DRAM scheduling or the hot-index tier, only the
         # ready arithmetic may.
         for message in stream:
-            insert(message)
+            self._fold_insert(message, buffer, work)
         return self._coalesce(buffer, work)
+
+    def _fold_insert(
+        self, message: Message, buffer: List[Message], work: PEWork
+    ) -> None:
+        """Buffer one FIFO item, then recursively insert what it reduced to.
+
+        A method rather than a closure: a nested function that calls itself
+        by name forms a function/cell reference cycle, which would keep the
+        buffer alive until the cyclic collector runs (and ``run_batch``
+        pauses that collector).
+        """
+        reduce_path = self.config.latencies.reduce_path
+        produced: List[Message] = []
+        for entry in message.entries:
+            if not entry:
+                continue
+            work.compares += len(buffer)
+            best = _widest_contained(entry, buffer)
+            if best is not None:
+                work.reduces += 1
+                ready = max(message.ready_cycle, best.ready_cycle) + reduce_path
+                if self.tracer.enabled:
+                    self._emit_op(PE_REDUCE, ready, reduce_path)
+                produced.append(
+                    Message(
+                        header=message.header.reduced_with(best.indices, entry),
+                        value=self.operator.combine(message.value, best.value),
+                        ready_cycle=ready,
+                        hops=max(message.hops, best.hops),
+                    )
+                )
+        buffer.append(message)
+        for combined in produced:
+            already = any(
+                other.indices == combined.indices
+                and set(combined.entries) <= set(other.entries)
+                for other in buffer
+            )
+            if already:
+                work.duplicates_removed += 1
+            else:
+                self._fold_insert(combined, buffer, work)
 
     def _coalesce(self, messages: List[Message], work: PEWork) -> List[Message]:
         """Merge same-``indices`` messages without charging PE latency."""

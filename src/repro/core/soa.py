@@ -54,7 +54,7 @@ carry memoised big-int masks so each containment test is one native
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -394,48 +394,62 @@ class _Stream:
         return len(self.entry_tuples)
 
 
-def _fold_leaf_stream(
-    pool: _SetPool,
-    stream: Sequence[Message],
-    config: FafnirConfig,
-    operator: ReductionOperator,
-    tracer: Tracer,
-    pe_id: int,
-    level: int,
-    work: PEWork,
-    bit_lo: int,
-    bit_hi: int,
-    elements: int,
-) -> _Stream:
-    """Greedy FIFO fold in the pool domain, byte-identical to the object PE.
+class _FoldBuffer:
+    """A leaf FIFO's buffered rows in the pool domain, one slot per insert.
 
-    Replays :meth:`ProcessingElement.fold_stream` — same greedy
-    closure (arrival order, earliest maximal buffered match per live
-    entry), same ``PEWork`` counters, same ``pe_reduce``/``pe_merge``
-    events — but buffered index sets carry memoised Python-int masks, so
-    the containment scan is one native ``&`` per buffered row instead of
-    a frozenset subset test, and the coalesced rows intern directly into
-    a columnar :class:`_Stream` without building ``Message`` objects.
+    The object fold's list of buffered ``Message`` objects, shredded into
+    columns.  :meth:`insert` is a method rather than a closure inside
+    :func:`_fold_leaf_stream`: a nested function that calls itself by name
+    forms a function/cell reference cycle, which would keep every buffered
+    row alive until the cyclic collector runs (and ``run_batch`` pauses
+    that collector).
     """
-    reduce_path = config.latencies.reduce_path
-    enabled = tracer.enabled
-    emit = tracer.emit_packed
-    mask_of = pool.mask_of
-    combine = operator.combine
 
-    # Buffer columns, one slot per inserted row (the object fold's list
-    # of buffered Messages, shredded).
-    ind_frozen: List[FrozenSet[int]] = []
-    ind_mask: List[int] = []
-    ind_size: List[int] = []
-    row_entries: List[Tuple[Tuple[FrozenSet[int], int], ...]] = []
-    entry_sets: List[FrozenSet[FrozenSet[int]]] = []
-    ready_col: List[int] = []
-    hops_col: List[int] = []
-    value_col: List[np.ndarray] = []
-    rows_by_indices: Dict[FrozenSet[int], List[int]] = {}
+    __slots__ = (
+        "work",
+        "reduce_path",
+        "tracer",
+        "pe_id",
+        "level",
+        "combine",
+        "ind_frozen",
+        "ind_mask",
+        "ind_size",
+        "row_entries",
+        "entry_sets",
+        "ready_col",
+        "hops_col",
+        "value_col",
+        "rows_by_indices",
+    )
+
+    def __init__(
+        self,
+        work: PEWork,
+        reduce_path: int,
+        tracer: Tracer,
+        pe_id: int,
+        level: int,
+        combine: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ) -> None:
+        self.work = work
+        self.reduce_path = reduce_path
+        self.tracer = tracer
+        self.pe_id = pe_id
+        self.level = level
+        self.combine = combine
+        self.ind_frozen: List[FrozenSet[int]] = []
+        self.ind_mask: List[int] = []
+        self.ind_size: List[int] = []
+        self.row_entries: List[Tuple[Tuple[FrozenSet[int], int], ...]] = []
+        self.entry_sets: List[FrozenSet[FrozenSet[int]]] = []
+        self.ready_col: List[int] = []
+        self.hops_col: List[int] = []
+        self.value_col: List[np.ndarray] = []
+        self.rows_by_indices: Dict[FrozenSet[int], List[int]] = {}
 
     def insert(
+        self,
         indices: FrozenSet[int],
         indices_mask: int,
         entries: Tuple[Tuple[FrozenSet[int], int], ...],
@@ -443,6 +457,17 @@ def _fold_leaf_stream(
         hops: int,
         value: np.ndarray,
     ) -> None:
+        """Buffer one row, then recursively insert what it reduced to."""
+        work = self.work
+        ind_frozen = self.ind_frozen
+        ind_mask = self.ind_mask
+        ind_size = self.ind_size
+        ready_col = self.ready_col
+        hops_col = self.hops_col
+        value_col = self.value_col
+        entry_sets = self.entry_sets
+        rows_by_indices = self.rows_by_indices
+        reduce_path = self.reduce_path
         produced = []
         count = len(ind_mask)
         live = [pair for pair in entries if pair[0]]
@@ -467,12 +492,12 @@ def _fold_leaf_stream(
                     ready = (
                         ready_cycle if ready_cycle >= other_ready else other_ready
                     ) + reduce_path
-                    if enabled:
-                        emit(
+                    if self.tracer.enabled:
+                        self.tracer.emit_packed(
                             PE_REDUCE,
                             ready,
-                            pe=pe_id,
-                            level=level,
+                            pe=self.pe_id,
+                            level=self.level,
                             args=(reduce_path,),
                         )
                     best_hops = hops_col[best]
@@ -488,14 +513,14 @@ def _fold_leaf_stream(
                             ),
                             ready,
                             hops if hops >= best_hops else best_hops,
-                            combine(value, value_col[best]),
+                            self.combine(value, value_col[best]),
                         )
                     )
         row = count
         ind_frozen.append(indices)
         ind_mask.append(indices_mask)
         ind_size.append(len(indices))
-        row_entries.append(entries)
+        self.row_entries.append(entries)
         entry_sets.append(frozenset(pair[0] for pair in entries))
         ready_col.append(ready_cycle)
         hops_col.append(hops)
@@ -509,13 +534,49 @@ def _fold_leaf_stream(
             ):
                 work.duplicates_removed += 1
             else:
-                insert(c_ind, c_mask, c_entries, c_ready, c_hops, c_value)
+                self.insert(c_ind, c_mask, c_entries, c_ready, c_hops, c_value)
+
+
+def _fold_leaf_stream(
+    pool: _SetPool,
+    stream: Sequence[Message],
+    config: FafnirConfig,
+    operator: ReductionOperator,
+    tracer: Tracer,
+    pe_id: int,
+    level: int,
+    work: PEWork,
+    bit_lo: int,
+    bit_hi: int,
+    elements: int,
+) -> _Stream:
+    """Greedy FIFO fold in the pool domain, byte-identical to the object PE.
+
+    Replays :meth:`ProcessingElement.fold_stream` — same greedy
+    closure (arrival order, earliest maximal buffered match per live
+    entry), same ``PEWork`` counters, same ``pe_reduce``/``pe_merge``
+    events — but buffered index sets carry memoised Python-int masks, so
+    the containment scan is one native ``&`` per buffered row instead of
+    a frozenset subset test, and the coalesced rows intern directly into
+    a columnar :class:`_Stream` without building ``Message`` objects.
+    """
+    enabled = tracer.enabled
+    emit = tracer.emit_packed
+    mask_of = pool.mask_of
+    buffer = _FoldBuffer(
+        work,
+        config.latencies.reduce_path,
+        tracer,
+        pe_id,
+        level,
+        operator.combine,
+    )
 
     # FIFO arrival order, mirroring the object path's fold: functional
     # pairing must not depend on DRAM scheduling or the hot-index tier.
     for message in stream:
         header = message.header
-        insert(
+        buffer.insert(
             header.indices,
             mask_of(header.indices),
             tuple((e, mask_of(e)) for e in header.entries),
@@ -523,6 +584,13 @@ def _fold_leaf_stream(
             message.hops,
             message.value,
         )
+    ind_frozen = buffer.ind_frozen
+    ind_mask = buffer.ind_mask
+    ind_size = buffer.ind_size
+    row_entries = buffer.row_entries
+    ready_col = buffer.ready_col
+    hops_col = buffer.hops_col
+    value_col = buffer.value_col
 
     # Coalesce same-indices rows (no PE latency charged), interning the
     # survivors straight into columnar form.
