@@ -16,6 +16,7 @@ speedup (Fig. 13 solid bars) from its redundant-access elimination
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -63,10 +64,38 @@ class BatchPlan:
         return self.total_lookups - len(self.reads)
 
 
+def normalize_query(
+    raw: Sequence[int], position: int, max_query_len: Optional[int] = None
+) -> Query:
+    """Validate one query and return its index set.
+
+    The one query contract of the package: a query is a non-empty sequence
+    of non-negative integers (Python or NumPy; ``operator.index`` rejects
+    floats such as ``1.5`` and ``1.0`` instead of truncating them), with at
+    most ``max_query_len`` distinct indices when a maximum is given.  Every
+    violation raises :class:`ValueError` naming the query's ``position``.
+    """
+    indices = map(operator.index, raw)
+    try:
+        query = frozenset(indices)
+    except TypeError:
+        raise ValueError(f"query {position} contains a non-integer index") from None
+    if not query:
+        raise ValueError(f"query {position} is empty")
+    if min(query) < 0:
+        raise ValueError(f"query {position} contains a negative index")
+    if max_query_len is not None and len(query) > max_query_len:
+        raise ValueError(
+            f"query {position} has {len(query)} indices, "
+            f"exceeding the configured maximum of {max_query_len}"
+        )
+    return query
+
+
 def normalize_queries(
     raw_queries: Sequence[Sequence[int]], max_query_len: Optional[int] = None
 ) -> Tuple[Query, ...]:
-    """Validate and canonicalise a batch of queries.
+    """Validate and canonicalise a batch of queries (see :func:`normalize_query`).
 
     Duplicate indices *within* one query are collapsed (the tree's header
     algebra works on sets); duplicate queries across the batch are kept —
@@ -74,20 +103,10 @@ def normalize_queries(
     """
     if not raw_queries:
         raise ValueError("batch must contain at least one query")
-    queries: List[Query] = []
-    for position, raw in enumerate(raw_queries):
-        query = frozenset(int(i) for i in raw)
-        if not query:
-            raise ValueError(f"query {position} is empty")
-        if any(i < 0 for i in query):
-            raise ValueError(f"query {position} contains a negative index")
-        if max_query_len is not None and len(query) > max_query_len:
-            raise ValueError(
-                f"query {position} has {len(query)} indices, "
-                f"exceeding the configured maximum of {max_query_len}"
-            )
-        queries.append(query)
-    return tuple(queries)
+    return tuple(
+        normalize_query(raw, position, max_query_len)
+        for position, raw in enumerate(raw_queries)
+    )
 
 
 def plan_batch(

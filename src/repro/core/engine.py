@@ -135,6 +135,13 @@ def _collector_paused() -> Iterator[None]:
                 gc.collect(0)
 
 
+def _query_status(query: FrozenSet[int], dropped: Set[int]) -> str:
+    """A query's status once ``dropped`` indices are lost to faults."""
+    if query.isdisjoint(dropped):
+        return STATUS_OK
+    return STATUS_FAILED if query <= dropped else STATUS_DEGRADED
+
+
 @dataclass
 class LookupStats:
     """Measurements from one batch lookup.
@@ -196,13 +203,14 @@ class LookupStats:
 class LookupResult:
     """Per-query reduced vectors (submission order) and run statistics.
 
-    ``statuses`` is populated by fault-injected runs under a ``degrade``
-    policy: per query, :data:`~repro.faults.policy.STATUS_OK` (all indices
+    ``statuses`` is populated whenever a :class:`FaultPlan` is installed:
+    per query, :data:`~repro.faults.policy.STATUS_OK` (all indices
     folded), :data:`~repro.faults.policy.STATUS_DEGRADED` (reduced over
     the surviving subset — the vector matches a CPU oracle on exactly
     those indices), or :data:`~repro.faults.policy.STATUS_FAILED` (no
     index survived; the vector is all-NaN poison, never silent zeros).
-    ``None`` means the run saw no fault machinery — every query is ``ok``.
+    Only a ``degrade`` policy returns anything but ``ok``.  ``None`` means
+    no plan was installed — every query is ``ok``.
 
     ``ready_pe_cycles`` is each query's completion cycle at the tree root
     (submission order, same length as ``vectors``; failed queries carry 0).
@@ -328,8 +336,13 @@ class FafnirEngine:
             rank_order: optional permutation of ``range(total_ranks)``
                 rewiring ranks to leaf PEs (boards whose physical wiring
                 does not follow the logical numbering).
-            faults: seeded chaos script; ``None`` (the default) keeps every
-                code path byte-identical to a fault-free build.
+            faults: seeded chaos script; ``None`` (the default) installs
+                no plan.  Every batch runs the same path either way (see
+                :meth:`run_batch`): a plan adds the leaf-boundary gauntlet,
+                and a re-plan when it drops indices.  An idle plan
+                reproduces a no-plan run byte for byte, apart from the
+                fault args of the batch events and ``statuses``, which is
+                ``None`` without a plan.
             fault_policy: recovery budgets and the ``fail_fast``/``degrade``
                 exhaustion mode (defaults to ``fail_fast``).
             engine: tree-sweep implementation.  ``"object"`` (default) walks
@@ -637,13 +650,13 @@ class FafnirEngine:
         self,
         plan: BatchPlan,
         root_outputs: Sequence[Message],
-        query_positions: Optional[Sequence[int]] = None,
+        query_positions: Sequence[int],
     ) -> tuple:
         """Match root messages to queries; returns (vectors, completion cycles).
 
-        ``query_positions`` relabels the emitted ``query_complete`` events
-        when ``plan`` is a degraded re-plan whose queries map back to
-        different submission positions in the original batch.
+        ``query_positions`` labels the emitted ``query_complete`` events with
+        each query's submission position in the original batch, which a
+        re-plan of a batch's survivors renumbers.
         """
         by_indices: Dict[frozenset, Message] = {}
         for message in root_outputs:
@@ -663,15 +676,10 @@ class FafnirEngine:
             vectors.append(self.operator.finalize(message.value.copy(), len(query)))
             ready_cycles.append(message.ready_cycle)
             if self.tracer.enabled:
-                label = (
-                    query_positions[position]
-                    if query_positions is not None
-                    else position
-                )
                 self.tracer.emit_packed(
                     QUERY_COMPLETE,
                     message.ready_cycle,
-                    args=(label, len(query)),
+                    args=(query_positions[position], len(query)),
                 )
         return vectors, ready_cycles
 
@@ -693,130 +701,61 @@ class FafnirEngine:
                 pass ``False`` for the ablation baseline.
             reset_memory: start from cold row buffers (deterministic runs).
 
-        The call runs with the cyclic garbage collector paused (clean,
-        faulty and degraded paths alike, so every serving dispatch and
-        every shard too).  On return or raise the collector is back in
-        the state the call found it in; nested calls (:meth:`run_batches`)
-        and concurrent threads restore it once, at the outermost exit, and
-        a restored collector first runs the young-generation pass the
-        pause deferred.  A batch builds no reference cycles, so the pause
-        leaves no garbage behind.
+        Every batch runs one sequence: plan, fetch from memory, fill the
+        leaf FIFOs, sweep the tree, collect the root outputs (see
+        :meth:`_reduce`).  A batch without faults is a fault batch whose
+        drop set is empty, and the sequence branches in three places only:
+
+        * with a :class:`FaultPlan` installed, each planned vector passes
+          the leaf-boundary gauntlet (:meth:`_fetch_one_vector`) before the
+          tree runs, and the tree reads the prefetched vectors instead of
+          ``source``;
+        * when rank faults or the gauntlet drop indices, the surviving
+          queries are planned a second time (:meth:`_reduce`); an
+          undamaged batch is planned once;
+        * without a plan, ``statuses`` is ``None`` and the batch events
+          carry no ``faults``/``dropped_indices`` args.
+
+        The call runs with the cyclic garbage collector paused.  On return
+        or raise the collector is back in the state the call found it in;
+        nested calls (:meth:`run_batches`) and concurrent threads restore
+        it once, at the outermost exit, and a restored collector first runs
+        the young-generation pass the pause deferred.  A batch builds no
+        reference cycles, so the pause leaves no garbage behind.
         """
         if len(queries) > self.config.batch_size:
             raise ValueError(
                 f"batch of {len(queries)} exceeds configured batch size "
                 f"{self.config.batch_size}"
             )
-        if self.faults is not None:
-            return self._run_batch_faulty(queries, source, deduplicate, reset_memory)
+        has_plan = self.faults is not None
         if reset_memory:
             self.memory.reset()
         if self.tracer.enabled:
-            self.tracer.emit(
-                TraceEvent(
-                    BATCH_START,
-                    cycle=0,
-                    args={"queries": len(queries), "dedup": deduplicate},
-                )
-            )
-
-        plan = plan_batch(
-            queries, max_query_len=self.config.max_query_len, deduplicate=deduplicate
-        )
-        finish_cycles = self._fetch_from_memory(plan)
-        leaf_inputs = self._leaf_inputs(plan, finish_cycles, source)
-        root_outputs, per_pe_work = self._run_tree(leaf_inputs)
-        vectors, ready_cycles = self._collect_results(plan, root_outputs)
-
-        memory_stats = self._last_memory_stats
-        memory_pe_cycles = convert_cycles(
-            memory_stats.finish_cycle, self.config.dram_clock, self.config.pe_clock
-        )
-        stats = LookupStats(
-            memory=memory_stats,
-            per_pe_work=per_pe_work,
-            latency_pe_cycles=max(ready_cycles) if ready_cycles else 0,
-            memory_latency_pe_cycles=memory_pe_cycles,
-            total_lookups=plan.total_lookups,
-            unique_reads=len(plan.unique_indices),
-            dram_bytes_read=memory_stats.bytes_read,
-            output_bytes=len(plan.queries) * self.config.vector_bytes,
-            naive_movement_bytes=plan.total_lookups * self.config.vector_bytes,
-        )
-        if self.tracer.enabled:
-            self.tracer.emit(
-                TraceEvent(
-                    BATCH_COMPLETE,
-                    cycle=stats.latency_pe_cycles,
-                    args={
-                        "queries": len(plan.queries),
-                        "unique_reads": len(plan.unique_indices),
-                    },
-                )
-            )
-        return LookupResult(
-            vectors=vectors, stats=stats, plan=plan, ready_pe_cycles=ready_cycles
-        )
-
-    # --- fault-injected execution -------------------------------------
-    def _run_batch_faulty(
-        self,
-        queries: Sequence[Sequence[int]],
-        source: VectorSource,
-        deduplicate: bool,
-        reset_memory: bool,
-    ) -> LookupResult:
-        """One batch under an installed :class:`FaultPlan`.
-
-        Memory reads are issued exactly once; rank faults surface as lost
-        indices via :attr:`MemorySystem.failed_positions`, leaf-boundary
-        faults (transient source errors, vector corruption) surface during
-        prefetch.  Under ``fail_fast`` any unrecovered fault has already
-        raised by the time the drop set is known; under ``degrade`` the
-        batch is re-planned without the dropped indices so the tree's
-        completion guarantee holds for what remains, and every query gets
-        an explicit ``ok``/``degraded``/``failed`` status.
-        """
-        if reset_memory:
-            self.memory.reset()
-        if self.tracer.enabled:
-            self.tracer.emit(
-                TraceEvent(
-                    BATCH_START,
-                    cycle=0,
-                    args={
-                        "queries": len(queries),
-                        "dedup": deduplicate,
-                        "faults": True,
-                    },
-                )
-            )
+            start_args = {"queries": len(queries), "dedup": deduplicate}
+            if has_plan:
+                start_args["faults"] = True
+            self.tracer.emit(TraceEvent(BATCH_START, cycle=0, args=start_args))
 
         plan = plan_batch(
             queries, max_query_len=self.config.max_query_len, deduplicate=deduplicate
         )
         finish_cycles = self._fetch_from_memory(plan)
         dropped: Set[int] = set(self._lost_read_indices)
-        values: Dict[int, np.ndarray] = {}
-        for index in plan.unique_indices:
-            if index in dropped:
-                continue
-            value = self._fetch_one_vector(source, index)
-            if value is None:
-                dropped.add(index)
-            else:
-                values[index] = value
-
-        statuses: Optional[List[str]] = None
-        if not dropped:
-            leaf_inputs = self._leaf_inputs(plan, finish_cycles, values.__getitem__)
-            root_outputs, per_pe_work = self._run_tree(leaf_inputs)
-            vectors, ready_cycles = self._collect_results(plan, root_outputs)
-            statuses = [STATUS_OK] * len(vectors)
-        else:
-            vectors, ready_cycles, statuses, per_pe_work = self._run_degraded(
-                plan, finish_cycles, values, dropped, deduplicate
-            )
+        if has_plan:
+            values: Dict[int, np.ndarray] = {}
+            for index in plan.unique_indices:
+                if index in dropped:
+                    continue
+                value = self._fetch_one_vector(source, index)
+                if value is None:
+                    dropped.add(index)
+                else:
+                    values[index] = value
+            source = values.__getitem__
+        vectors, ready_cycles, statuses, per_pe_work = self._reduce(
+            plan, finish_cycles, source, dropped, deduplicate
+        )
 
         memory_stats = self._last_memory_stats
         memory_pe_cycles = convert_cycles(
@@ -834,25 +773,104 @@ class FafnirEngine:
             naive_movement_bytes=plan.total_lookups * self.config.vector_bytes,
         )
         if self.tracer.enabled:
+            complete_args = {
+                "queries": len(plan.queries),
+                "unique_reads": len(plan.unique_indices),
+            }
+            if has_plan:
+                complete_args["dropped_indices"] = len(dropped)
             self.tracer.emit(
                 TraceEvent(
                     BATCH_COMPLETE,
                     cycle=stats.latency_pe_cycles,
-                    args={
-                        "queries": len(plan.queries),
-                        "unique_reads": len(plan.unique_indices),
-                        "dropped_indices": len(dropped),
-                    },
+                    args=complete_args,
                 )
             )
         return LookupResult(
             vectors=vectors,
             stats=stats,
             plan=plan,
-            statuses=statuses,
+            statuses=statuses if has_plan else None,
             dropped_indices=frozenset(dropped),
             ready_pe_cycles=ready_cycles,
         )
+
+    def _reduce(
+        self,
+        plan: BatchPlan,
+        finish_cycles: Dict[int, List[int]],
+        source: VectorSource,
+        dropped: Set[int],
+        deduplicate: bool,
+    ) -> Tuple[List[np.ndarray], List[int], List[str], Dict[int, PEWork]]:
+        """Reduce a fetched batch: leaf inputs, tree sweep, root collection.
+
+        Returns per-query vectors, completion cycles and statuses (all in
+        submission order) and the per-PE work.  Each query is ``ok`` (none
+        of its indices in ``dropped``), ``degraded`` (reduced over its
+        surviving subset; the output matches a CPU oracle on exactly those
+        indices) or ``failed`` (nothing survived; all-NaN, cycle 0).
+
+        With indices dropped, the surviving queries are re-planned so every
+        header's query sets reference only vectors that will actually
+        arrive, and the tree's completion guarantee holds for the reduced
+        batch.  The re-plan reuses the recorded completion cycles, so no
+        DRAM traffic is double-counted.  A batch in which every query
+        failed runs no tree.
+        """
+        statuses = [_query_status(query, dropped) for query in plan.queries]
+        positions = [
+            position
+            for position, status in enumerate(statuses)
+            if status != STATUS_FAILED
+        ]
+        per_pe_work: Dict[int, PEWork] = {}
+        reduced: List[np.ndarray] = []
+        reduced_ready: List[int] = []
+        run_plan, run_finish = plan, finish_cycles
+        if positions:
+            if dropped:
+                run_plan = plan_batch(
+                    [sorted(plan.queries[p] - dropped) for p in positions],
+                    max_query_len=self.config.max_query_len,
+                    deduplicate=deduplicate,
+                )
+                run_finish = {
+                    index: (finish_cycles[index] + [finish_cycles[index][-1]] * count)[
+                        :count
+                    ]
+                    for index, count in _Counter(run_plan.reads).items()
+                }
+            leaf_inputs = self._leaf_inputs(run_plan, run_finish, source)
+            root_outputs, per_pe_work = self._run_tree(leaf_inputs)
+            reduced, reduced_ready = self._collect_results(
+                run_plan, root_outputs, positions
+            )
+
+        survivors = iter(zip(reduced, reduced_ready))
+        vectors: List[np.ndarray] = []
+        ready_cycles: List[int] = []
+        for position, (query, status) in enumerate(zip(plan.queries, statuses)):
+            if status == STATUS_FAILED:
+                vectors.append(np.full(self.config.vector_elements, np.nan))
+                ready_cycles.append(0)
+            else:
+                vector, cycle = next(survivors)
+                vectors.append(vector)
+                ready_cycles.append(cycle)
+            if status != STATUS_OK and self.tracer.enabled:
+                self.tracer.emit(
+                    TraceEvent(
+                        QUERY_DEGRADED,
+                        cycle=ready_cycles[-1],
+                        args={
+                            "query": position,
+                            "status": status,
+                            "dropped": sorted(query & dropped),
+                        },
+                    )
+                )
+        return vectors, ready_cycles, statuses, per_pe_work
 
     def _fetch_one_vector(
         self, source: VectorSource, index: int
@@ -935,94 +953,6 @@ class FafnirEngine:
             self.tracer.emit(
                 TraceEvent(RETRY_ISSUED, cycle=0, rank=rank, args=retry)
             )
-
-    def _run_degraded(
-        self,
-        plan: BatchPlan,
-        finish_cycles: Dict[int, List[int]],
-        values: Dict[int, np.ndarray],
-        dropped: Set[int],
-        deduplicate: bool,
-    ) -> Tuple[List[np.ndarray], List[int], List[str], Dict[int, PEWork]]:
-        """Complete a batch that lost vectors: re-plan, run, degrade.
-
-        The surviving indices are re-planned so every header's query sets
-        reference only vectors that will actually arrive — the tree's
-        completion guarantee then holds for the reduced batch.  Each
-        original query maps to ``ok`` (untouched), ``degraded`` (reduced
-        over its surviving subset; the output matches a CPU oracle on
-        exactly those indices), or ``failed`` (nothing survived; all-NaN).
-        Memory reads were already issued once — the re-plan reuses the
-        recorded completion cycles, so no DRAM traffic is double-counted.
-        """
-        vector_elements = self.config.vector_elements
-        statuses: List[str] = []
-        effective: List[List[int]] = []
-        for query in plan.queries:
-            remaining = sorted(query - dropped)
-            effective.append(remaining)
-            if len(remaining) == len(query):
-                statuses.append(STATUS_OK)
-            elif remaining:
-                statuses.append(STATUS_DEGRADED)
-            else:
-                statuses.append(STATUS_FAILED)
-
-        surviving = [
-            (position, indices)
-            for position, indices in enumerate(effective)
-            if indices
-        ]
-        per_pe_work: Dict[int, PEWork] = {}
-        sub_vectors: List[np.ndarray] = []
-        sub_ready: List[int] = []
-        if surviving:
-            sub_plan = plan_batch(
-                [indices for _, indices in surviving],
-                max_query_len=self.config.max_query_len,
-                deduplicate=deduplicate,
-            )
-            needed = _Counter(sub_plan.reads)
-            sub_finish = {
-                index: (finish_cycles[index] + [finish_cycles[index][-1]] * count)[
-                    :count
-                ]
-                for index, count in needed.items()
-            }
-            leaf_inputs = self._leaf_inputs(
-                sub_plan, sub_finish, values.__getitem__
-            )
-            root_outputs, per_pe_work = self._run_tree(leaf_inputs)
-            sub_vectors, sub_ready = self._collect_results(
-                sub_plan,
-                root_outputs,
-                query_positions=[position for position, _ in surviving],
-            )
-
-        vectors: List[np.ndarray] = []
-        ready_cycles: List[int] = []
-        cursor = 0
-        for position, query in enumerate(plan.queries):
-            if statuses[position] == STATUS_FAILED:
-                vectors.append(np.full(vector_elements, np.nan))
-                ready_cycles.append(0)
-            else:
-                vectors.append(sub_vectors[cursor])
-                ready_cycles.append(sub_ready[cursor])
-                cursor += 1
-            if statuses[position] != STATUS_OK and self.tracer.enabled:
-                self.tracer.emit(
-                    TraceEvent(
-                        QUERY_DEGRADED,
-                        cycle=ready_cycles[-1],
-                        args={
-                            "query": position,
-                            "status": statuses[position],
-                            "dropped": sorted(query & dropped),
-                        },
-                    )
-                )
-        return vectors, ready_cycles, statuses, per_pe_work
 
     # ------------------------------------------------------------------
     @_collector_paused()

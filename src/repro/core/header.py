@@ -144,16 +144,6 @@ class Header:
             raise ValueError("only headers with equal indices may merge")
         return Header.make(self.indices, self.entries + other.entries)
 
-    def header_bits(self, index_bits: int, max_query_len: int) -> int:
-        """Size of this header's wire encoding in bits.
-
-        The paper budgets ``q`` index slots of ``index_bits`` each (10 B for
-        q=16 with 5-bit ids, Table I discussion).
-        """
-        if index_bits <= 0 or max_query_len <= 0:
-            raise ValueError("index_bits and max_query_len must be positive")
-        return index_bits * max_query_len
-
     def __repr__(self) -> str:
         inx = ",".join(str(i) for i in sorted(self.indices))
         parts = ["|".join(str(i) for i in sorted(e)) or "∅" for e in self.entries]

@@ -17,6 +17,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Union
 
+from repro.core.batch import normalize_query
 from repro.workloads.embedding import EmbeddingTableSet, QueryGenerator
 
 PathLike = Union[str, pathlib.Path]
@@ -31,10 +32,7 @@ class QueryTrace:
 
     def __post_init__(self) -> None:
         for position, query in enumerate(self.queries):
-            if not query:
-                raise ValueError(f"query {position} is empty")
-            if any(index < 0 for index in query):
-                raise ValueError(f"query {position} contains a negative index")
+            normalize_query(query, position)
 
     def __len__(self) -> int:
         return len(self.queries)

@@ -1,8 +1,10 @@
 """Tests for host-side batch preprocessing (paper §IV-C)."""
 
+import numpy as np
 import pytest
 
-from repro.core import plan_batch, normalize_queries
+from repro.core import FafnirConfig, FafnirEngine, plan_batch, normalize_queries
+from repro.workloads import QueryTrace
 
 
 PAPER_QUERIES = [
@@ -37,6 +39,31 @@ class TestNormalize:
     def test_enforces_max_query_len(self):
         with pytest.raises(ValueError, match="exceeding"):
             normalize_queries([[1, 2, 3]], max_query_len=2)
+
+
+def _run_engine(queries):
+    return FafnirEngine(FafnirConfig(batch_size=4)).run_batch(
+        queries, lambda index: np.full(128, float(index))
+    )
+
+
+class TestQueryContract:
+    """Every public entry point enforces the one per-query contract."""
+
+    ENTRY_POINTS = {
+        "plan_batch": plan_batch,
+        "run_batch": _run_engine,
+        "QueryTrace": QueryTrace,
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_float_index_rejected_not_truncated(self, entry):
+        with pytest.raises(ValueError, match="query 0 contains a non-integer"):
+            self.ENTRY_POINTS[entry]([[1.5, 2]])
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_numpy_integer_indices_accepted(self, entry):
+        self.ENTRY_POINTS[entry]([list(np.array([3, 7], dtype=np.int64))])
 
 
 class TestPlanBatch:

@@ -93,11 +93,6 @@ class TestHeaderAlgebra:
         assert header.complete_entries == (fs(),)
         assert header.pending_entries == (fs(7),)
 
-    def test_header_bits_matches_paper_budget(self):
-        """q=16 slots of 5-bit ids → 80 bits (the paper's 10 B header)."""
-        header = Header.make({1}, [{2}])
-        assert header.header_bits(index_bits=5, max_query_len=16) == 80
-
     def test_repr_is_readable(self):
         header = Header.make({50, 11}, [{94, 26}])
         text = repr(header)

@@ -1,5 +1,7 @@
 """Engine-level fault injection: corruption, source faults, degradation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,13 @@ from repro.faults import (
 )
 from repro.memory import MemoryConfig
 from repro.obs import InMemorySink, Tracer
-from repro.obs.events import FAULT_DETECTED, FAULT_INJECTED, QUERY_DEGRADED
+from repro.obs.events import (
+    BATCH_COMPLETE,
+    BATCH_START,
+    FAULT_DETECTED,
+    FAULT_INJECTED,
+    QUERY_DEGRADED,
+)
 
 RANKS = 8
 ELEMENTS = 16
@@ -48,22 +56,49 @@ def oracle(query, dropped=frozenset()):
     return sum(vector_source(i) for i in survivors)
 
 
+def _without_fault_args(event):
+    """``event`` as a no-plan run emits it: batch events lose their fault args."""
+    if event.kind not in (BATCH_START, BATCH_COMPLETE):
+        return event
+    args = {
+        key: value
+        for key, value in event.args.items()
+        if key not in ("faults", "dropped_indices")
+    }
+    return dataclasses.replace(event, args=args)
+
+
 class TestCleanPathEquivalence:
-    def test_zero_probability_plan_matches_fault_free_run(self):
-        """The faulty code path with nothing firing must reproduce the
-        fault-free path bit for bit — same vectors, same timing."""
-        clean = make_engine().run_batch(QUERIES, vector_source)
-        idle_plan = FaultPlan(seed=0)
-        faulty = make_engine(
-            faults=idle_plan, fault_policy=FaultPolicy.graceful()
-        ).run_batch(QUERIES, vector_source)
+    @pytest.mark.parametrize("deduplicate", [True, False])
+    @pytest.mark.parametrize("engine", ["object", "soa"])
+    def test_zero_probability_plan_matches_fault_free_run(self, engine, deduplicate):
+        """An installed plan with nothing firing must reproduce the no-plan
+        run byte for byte: vectors, timing, work, memory and every event,
+        apart from the fault args the batch events carry under a plan."""
+        runs = []
+        for faults in (None, FaultPlan(seed=0)):
+            sink = InMemorySink()
+            result = make_engine(
+                engine=engine,
+                faults=faults,
+                fault_policy=FaultPolicy.graceful(),
+                tracer=Tracer([sink]),
+            ).run_batch(QUERIES, vector_source, deduplicate=deduplicate)
+            runs.append((result, sink.events))
+        (clean, clean_events), (faulty, faulty_events) = runs
         assert faulty.query_statuses == [STATUS_OK] * len(QUERIES)
         assert faulty.dropped_indices == frozenset()
-        for a, b in zip(clean.vectors, faulty.vectors):
-            assert a.tobytes() == b.tobytes()
+        assert [v.tobytes() for v in faulty.vectors] == [
+            v.tobytes() for v in clean.vectors
+        ]
         assert (
             faulty.stats.latency_pe_cycles == clean.stats.latency_pe_cycles
         )
+        assert faulty.stats.per_pe_work == clean.stats.per_pe_work
+        assert faulty.stats.memory == clean.stats.memory
+        assert faulty.ready_pe_cycles == clean.ready_pe_cycles
+        assert faulty_events != clean_events
+        assert [_without_fault_args(e) for e in faulty_events] == clean_events
 
     def test_no_plan_statuses_default_to_ok(self):
         result = make_engine().run_batch(QUERIES, vector_source)
