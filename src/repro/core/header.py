@@ -14,12 +14,18 @@ fields:
 Example from the paper: a message whose value is ``v50 ⊕ v11`` with one query
 still needing vectors 94 and 26 has header ``[indices: {50, 11} | queries:
 {94, 26}]``.
+
+**Sort keys.**  :func:`sorted_tuple` and :func:`entry_sort_key` are plain
+functions.  A key is computed where it is used and dies with the batch that
+needed it: nothing in this module or in :mod:`repro.core.pe` memoizes across
+calls.  A process-global cache keyed on index sets would keep a finished
+batch's sets alive after its result is dropped (171 MiB after one 256 × 64
+batch), and within one such batch it would thrash rather than reuse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -27,20 +33,13 @@ import numpy as np
 Indices = FrozenSet[int]
 
 
-@lru_cache(maxsize=1 << 16)
 def sorted_tuple(indices: Indices) -> Tuple[int, ...]:
-    """Cached ascending tuple of an index set.
-
-    The same remainder sets recur in headers at every tree level, so the
-    canonical-order sort keys are memoised on the (hashable, immutable)
-    frozensets themselves.
-    """
+    """Ascending tuple of an index set: the canonical sorted-indices key."""
     return tuple(sorted(indices))
 
 
-@lru_cache(maxsize=1 << 16)
 def entry_sort_key(entry: Indices) -> Tuple[int, Tuple[int, ...]]:
-    """Canonical ordering key for header entries (cached per frozenset)."""
+    """Canonical ordering key for header entries: (size, sorted members)."""
     return (len(entry), tuple(sorted(entry)))
 
 

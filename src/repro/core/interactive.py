@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.clocks import convert_cycles
+from repro.core.batch import normalize_query
 from repro.core.config import FafnirConfig
 from repro.core.engine import VectorSource
 from repro.core.operators import ReductionOperator, SUM, get_operator
@@ -77,15 +78,13 @@ class InteractiveEngine:
     def lookup_one(
         self, query: Sequence[int], source: VectorSource, reset_memory: bool = True
     ) -> InteractiveResult:
-        """Gather-and-reduce one query with minimal latency."""
-        indices = sorted(set(int(i) for i in query))
-        if not indices:
-            raise ValueError("query must contain at least one index")
-        if len(indices) > self.config.max_query_len:
-            raise ValueError(
-                f"query of {len(indices)} indices exceeds the configured "
-                f"maximum of {self.config.max_query_len}"
-            )
+        """Gather-and-reduce one query with minimal latency.
+
+        ``query`` obeys the batch path's contract
+        (:func:`~repro.core.batch.normalize_query`), so one request is
+        accepted or rejected alike whether it runs alone or in a batch.
+        """
+        indices = sorted(normalize_query(query, 0, self.config.max_query_len))
         if reset_memory:
             self.memory.reset()
 

@@ -37,13 +37,28 @@ an index set, or when no universe is supplied, the entry falls back to
 the full scan (:func:`_widest_contained`).  That scan is the reference
 rule, and the probe picks the same partner, charges the same
 ``compares`` and emits the same events.
+
+**The leaf fold's index.**  :meth:`ProcessingElement.fold_stream` keeps
+its FIFO buffer in a :class:`_FifoBuffer` that buckets messages by
+``min(indices)``.  An entry's match is the widest buffered message whose
+indices it contains, earliest on ties; every such candidate ``c ⊆ entry``
+has ``min(c) ∈ entry``, so visiting only the buckets of the entry's
+members is exact.  The "already buffered" check is a lookup by index set.
+``compares`` is still charged one per buffered message, so counters,
+events and values are those of the linear scan (:func:`_widest_contained`
+over the buffer), which stays the reference rule.
+
+**Batch-scoped keys.**  The issue limit builds each output's
+sorted-indices key once and uses it for both of its sorts.  No sort key
+or index is memoized beyond the call that built it, so nothing a batch
+computes outlives ``run_batch``.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,6 +120,72 @@ def _choose_partner(
     if best is None and key:
         return _widest_contained(entry, partners)
     return best
+
+
+class _FifoBuffer:
+    """A leaf FIFO's buffered messages, indexed for the fold.
+
+    ``by_min`` buckets each message, with its buffer position, under
+    ``min(indices)``; ``by_indices`` groups the messages by index set, in
+    first-arrival order.  Any message contained in an entry has its
+    smallest index in that entry, so the buckets keyed by the entry's
+    members hold every candidate and :meth:`widest_contained` misses none.
+    Plain dicts and tuples with no reference back to the PE, so the buffer
+    is freed as soon as the fold returns.
+    """
+
+    __slots__ = ("size", "by_min", "by_indices")
+
+    def __init__(self) -> None:
+        self.size = 0
+        self.by_min: Dict[int, List[Tuple[int, Message]]] = {}
+        self.by_indices: Dict[FrozenSet[int], List[Message]] = {}
+
+    def append(self, message: Message) -> None:
+        indices = message.indices
+        self.by_min.setdefault(min(indices), []).append((self.size, message))
+        self.by_indices.setdefault(indices, []).append(message)
+        self.size += 1
+
+    def widest_contained(self, entry: FrozenSet[int]) -> Optional[Message]:
+        """:func:`_widest_contained` over the buffer in arrival order.
+
+        The widest buffered message whose indices ⊆ ``entry``, the
+        earliest on ties.  Visits the buckets of the entry's members,
+        walking whichever is shorter: the entry or the bucket keys.
+        """
+        by_min = self.by_min
+        if len(entry) <= len(by_min):
+            buckets = [by_min[i] for i in entry if i in by_min]
+        else:
+            buckets = [bucket for key, bucket in by_min.items() if key in entry]
+        best = None
+        best_width = 0
+        best_position = 0
+        for bucket in buckets:
+            for position, candidate in bucket:
+                width = len(candidate.indices)
+                if (
+                    width > best_width
+                    or (width == best_width and position < best_position)
+                ) and candidate.indices <= entry:
+                    best = candidate
+                    best_width = width
+                    best_position = position
+        return best
+
+    def covers(self, message: Message) -> bool:
+        """Whether a buffered message with the same indices already carries
+        every entry of ``message``."""
+        twins = self.by_indices.get(message.indices)
+        if not twins:
+            return False
+        entries = set(message.entries)
+        return any(entries <= set(other.entries) for other in twins)
+
+
+_READY_THEN_KEY = operator.itemgetter(0, 1)
+_KEY = operator.itemgetter(1)
 
 
 @dataclass
@@ -370,36 +451,27 @@ class ProcessingElement:
     def _apply_issue_limit(self, outputs: List[Message]) -> List[Message]:
         """Finite compute units: at most ``compute_units`` outputs per cycle."""
         units = self.config.compute_units
+        # Each output's sorted-indices key is built once, here, and serves
+        # both sorts below; it is dropped with this list.  Indices sets are
+        # unique after the merge unit, so the key is a strict total order
+        # and the message itself is never compared.
+        keyed = [
+            (message.ready_cycle, sorted_tuple(message.indices), message)
+            for message in outputs
+        ]
         # Stalls are assigned in (ready_cycle, sorted indices) order: the
-        # earliest-ready outputs grab the free units first.  Sorting by the
-        # cheap int key first and breaking ties per run avoids materialising
-        # the sorted-indices key for messages whose ready cycle is unique —
-        # near the root those index sets hold thousands of members.
-        outputs.sort(key=operator.attrgetter("ready_cycle"))
-        start = 0
-        total = len(outputs)
-        while start < total:
-            stop = start + 1
-            ready = outputs[start].ready_cycle
-            while stop < total and outputs[stop].ready_cycle == ready:
-                stop += 1
-            if stop - start > 1:
-                outputs[start:stop] = sorted(
-                    outputs[start:stop], key=lambda m: sorted_tuple(m.indices)
-                )
-            start = stop
-        for position, message in enumerate(outputs):
+        # earliest-ready outputs grab the free units first.
+        keyed.sort(key=_READY_THEN_KEY)
+        for position, (_, _, message) in enumerate(keyed):
             message.ready_cycle += position // units
         # Hand the list to the parent level in canonical sorted-indices
         # order.  The stall assignment above is timing (who waits for a
         # free unit); the *list* order steers the parent's greedy matching
         # and merge grouping, which must not depend on when memory happened
         # to deliver the operands — the invariant that keeps functional
-        # outputs byte-identical under the opt-in hot-index tier.  Indices
-        # sets are unique after the merge unit, so this is a strict total
-        # order.
-        outputs.sort(key=lambda m: sorted_tuple(m.indices))
-        return outputs
+        # outputs byte-identical under the opt-in hot-index tier.
+        keyed.sort(key=_KEY)
+        return [message for _, _, message in keyed]
 
     # ------------------------------------------------------------------
     def process(
@@ -459,8 +531,13 @@ class ProcessingElement:
         be exponential for heavily co-located queries) while preserving the
         completion invariant: after the fold, the buffer holds one message
         covering exactly each query's indices homed on this FIFO.
+
+        The buffer is indexed (:class:`_FifoBuffer`) so that finding an
+        entry's match visits only the buffered messages that could be
+        contained in it, not the whole buffer; the match, the charged
+        ``compares`` and the emitted events are those of the full scan.
         """
-        buffer: List[Message] = []
+        buffer = _FifoBuffer()
         # FIFO arrival order — the deterministic append order built by
         # ``FafnirEngine._leaf_inputs`` — not ready-cycle order: which pairs
         # fold (and therefore the reduced values' float association) must
@@ -468,10 +545,10 @@ class ProcessingElement:
         # ready arithmetic may.
         for message in stream:
             self._fold_insert(message, buffer, work)
-        return self._coalesce(buffer, work)
+        return self._coalesce(buffer.by_indices.values(), work)
 
     def _fold_insert(
-        self, message: Message, buffer: List[Message], work: PEWork
+        self, message: Message, buffer: _FifoBuffer, work: PEWork
     ) -> None:
         """Buffer one FIFO item, then recursively insert what it reduced to.
 
@@ -485,8 +562,9 @@ class ProcessingElement:
         for entry in message.entries:
             if not entry:
                 continue
-            work.compares += len(buffer)
-            best = _widest_contained(entry, buffer)
+            # The compute units test the entry against every buffered item.
+            work.compares += buffer.size
+            best = buffer.widest_contained(entry)
             if best is not None:
                 work.reduces += 1
                 ready = max(message.ready_cycle, best.ready_cycle) + reduce_path
@@ -502,23 +580,18 @@ class ProcessingElement:
                 )
         buffer.append(message)
         for combined in produced:
-            already = any(
-                other.indices == combined.indices
-                and set(combined.entries) <= set(other.entries)
-                for other in buffer
-            )
-            if already:
+            if buffer.covers(combined):
                 work.duplicates_removed += 1
             else:
                 self._fold_insert(combined, buffer, work)
 
-    def _coalesce(self, messages: List[Message], work: PEWork) -> List[Message]:
-        """Merge same-``indices`` messages without charging PE latency."""
-        groups: Dict[FrozenSet[int], List[Message]] = {}
-        for message in messages:
-            groups.setdefault(message.indices, []).append(message)
+    def _coalesce(
+        self, groups: Iterable[List[Message]], work: PEWork
+    ) -> List[Message]:
+        """Merge each group of same-``indices`` messages without charging
+        PE latency (groups in first-arrival order, members in FIFO order)."""
         coalesced: List[Message] = []
-        for members in groups.values():
+        for members in groups:
             base = members[0]
             if len(members) == 1:
                 coalesced.append(base)

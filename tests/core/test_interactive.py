@@ -80,6 +80,34 @@ class TestInteractive:
         with pytest.raises(ValueError):
             engine.lookup_one([1], lambda i: np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ([1.5, 2], "non-integer index"),
+            ([1.0, 2], "non-integer index"),
+            ([3, -1], "negative index"),
+        ],
+    )
+    def test_rejects_what_the_batch_path_rejects(self, query, message):
+        """One request is accepted or rejected alike alone or batched."""
+        source = make_source()
+        with pytest.raises(ValueError, match=message) as batched:
+            FafnirEngine(FafnirConfig(batch_size=1)).run_batch([query], source)
+        with pytest.raises(ValueError, match=message) as alone:
+            InteractiveEngine().lookup_one(query, source)
+        assert str(alone.value) == str(batched.value)
+
+    def test_accepts_numpy_integer_indices(self):
+        source = make_source(seed=8)
+        query = np.array([3, 77, 515], dtype=np.int64)
+        result = InteractiveEngine().lookup_one(query, source)
+        batch = FafnirEngine(FafnirConfig(batch_size=1)).run_batch(
+            [query], source
+        )
+        want = np.sum([source(int(i)) for i in query], axis=0)
+        assert np.allclose(result.vector, want)
+        assert np.allclose(result.vector, batch.vectors[0])
+
     def test_latency_includes_memory(self):
         engine = InteractiveEngine()
         source = make_source(seed=7)
